@@ -757,7 +757,11 @@ pub fn lsm_measurement(benches: &[Benchmark], jobs: usize) -> LsmMeasurement {
     // Pad to ten times the natural volume; the synthetic verdicts replay exactly like
     // real ones, so the 10x timing isolates pure segment-replay scaling.
     for i in 0..records_1x.saturating_mul(9) {
-        store.insert(format!("sat|bench-pad{i}"), i % 2 == 0);
+        store.insert(
+            hat_engine::RecordKind::Solver,
+            format!("sat|bench-pad{i}"),
+            (i % 2 == 0).into(),
+        );
     }
     drop(store);
     let start = std::time::Instant::now();

@@ -3,9 +3,12 @@
 //!
 //! ```console
 //! $ cargo run --release -p hat-engine --example lockprobe
-//! local_tiers=false: [(Solver, 329), ..., (Transition, 14094)]
-//! local_tiers=true:  [(Solver, 134), ..., (Transition, 679)]
+//! local_tiers=false: [(Solver, 329), (Inclusion, 270), (Shape, 395), (Minterms, 210), (Transition, 11815), (Subsumption, 720)]
+//! local_tiers=true: [(Solver, 146), (Inclusion, 253), (Shape, 384), (Minterms, 208), (Transition, 6567), (Subsumption, 703)]
 //! ```
+//!
+//! Transitions dominate both runs: most of their lookups are a worker's first sight
+//! of a key, which crosses the shared tier once in any read-through design.
 //!
 //! The full-suite evidence for the lock-reduction claim lives in
 //! `BENCH_engine.json` (`lock_reduction` table, written by the `table1` binary);

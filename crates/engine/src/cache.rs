@@ -3,7 +3,11 @@
 //! optionally fronted by per-worker [`crate::tier::LocalTier`]s (composed in
 //! [`crate::oracle::CachingOracle`]) so hot lookups touch no lock at all.
 //!
-//! Six record kinds share the store (see [`RecordKind`]):
+//! Six record kinds share the store (see [`RecordKind`]), and every kind takes the same
+//! path: [`MemoStore::lookup`] probes the shared tier, reads through to the disk tier
+//! and promotes a disk hit; [`MemoStore::insert`] logs a record line to the LSM
+//! memtable only when the shared insert is fresh. Values of every kind travel as one
+//! [`MemoValue`]:
 //!
 //! * **Solver verdicts** (`S` records): one satisfiability bit per canonical query key.
 //! * **Inclusion verdicts** (`I` records): one bit per canonical automata-inclusion key —
@@ -33,7 +37,7 @@
 //! the memtable rotates (size threshold, end-of-run flush, or drop) — a dedicated
 //! background thread writes segments, commits the manifest atomically, and merges
 //! segment families without taking a single tier lock. Record lines inside segments use
-//! the same grammar as the v2–v5 log body (`<kind><verdict>\t<key>` for `S`/`I`/`D`,
+//! the same grammar as the v5 log body (`<kind><verdict>\t<key>` for `S`/`I`/`D`/`U`,
 //! `M\t<key>\t<payload>`) plus `T\t<key>\t<payload>` transition records.
 //!
 //! Properties carried over from v5, unchanged:
@@ -47,34 +51,33 @@
 //!   *nudge*: it drains the memtable and asks the background thread to merge every
 //!   multi-segment family, newest record winning, duplicates and torn lines dropped.
 //!   Opening a store whose dead-record share passes a threshold nudges automatically.
-//! * **Migration.** Logs with a `v1`–`v5` header are replayed and atomically rewritten
-//!   as level-0 segments plus a manifest on first locked open. A file with any other
-//!   header is ignored wholesale and counted as stale rather than half-trusted (the
-//!   store runs in-memory and never writes to the foreign file). Malformed lines and
-//!   torn segments are skipped and counted as stale, never corrupting verdicts.
+//! * **Migration.** A log with the `v5` header is replayed and atomically rewritten as
+//!   level-0 segments plus a manifest on first locked open. A file with any other
+//!   header — the pre-v5 logs of older binaries included — is ignored wholesale and
+//!   counted as stale rather than half-trusted (the store runs in-memory and never
+//!   writes to the foreign file). Malformed lines and torn segments are skipped and
+//!   counted as stale, never corrupting verdicts.
 
 use crate::atomio::{parse_minterm_set, parse_sfa, ser_minterm_set, ser_sfa};
 use crate::lsm::{self, Lsm, LsmConfig, LsmStatsSnapshot, ManifestState};
 use crate::tier::{DiskTier, SharedTier};
-use hat_sfa::{MintermSet, Sfa};
-use std::collections::HashSet;
+use hat_sfa::{MemoKind, MintermSet, Sfa};
+use std::collections::{BTreeMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const HEADER_V5: &str = "hat-engine-cache v5";
-const HEADER_V4: &str = "hat-engine-cache v4";
-const HEADER_V3: &str = "hat-engine-cache v3";
-const HEADER_V2: &str = "hat-engine-cache v2";
-const HEADER_V1: &str = "hat-engine-cache v1";
 
 /// An open-time compaction nudge fires when at least this many dead records are found…
 const AUTO_COMPACT_MIN_DEAD: usize = 16;
 /// …and they make up at least `1/AUTO_COMPACT_RATIO` of the replayed records.
 const AUTO_COMPACT_RATIO: usize = 4;
 
-/// The record kinds of the store, doubling as the disk-record tags.
+/// The record kinds of the store, doubling as the disk-record tags. `kind as usize`
+/// indexes the per-kind tier and counter arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RecordKind {
     /// Solver verdicts (`S`).
@@ -93,17 +96,37 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
+    /// Every kind, in disk order.
+    pub(crate) const ALL: [RecordKind; 6] = [
+        RecordKind::Solver,
+        RecordKind::Inclusion,
+        RecordKind::Shape,
+        RecordKind::Minterms,
+        RecordKind::Transition,
+        RecordKind::Subsumption,
+    ];
+
     /// The disk tag of this kind: the first byte of its record lines and of its segment
     /// file names.
-    pub fn tag(self) -> char {
+    pub fn tag(self) -> &'static str {
         match self {
-            RecordKind::Solver => 'S',
-            RecordKind::Inclusion => 'I',
-            RecordKind::Shape => 'D',
-            RecordKind::Minterms => 'M',
-            RecordKind::Transition => 'T',
-            RecordKind::Subsumption => 'U',
+            RecordKind::Solver => "S",
+            RecordKind::Inclusion => "I",
+            RecordKind::Shape => "D",
+            RecordKind::Minterms => "M",
+            RecordKind::Transition => "T",
+            RecordKind::Subsumption => "U",
         }
+    }
+
+    /// The kind a disk tag names, if this binary knows it.
+    pub(crate) fn from_tag(tag: &str) -> Option<RecordKind> {
+        RecordKind::ALL.into_iter().find(|kind| kind.tag() == tag)
+    }
+
+    /// Whether records of this kind hold a verdict bit (rather than a payload).
+    pub(crate) fn is_verdict(self) -> bool {
+        !matches!(self, RecordKind::Minterms | RecordKind::Transition)
     }
 
     /// A human-readable label (used by `marple cache stats`).
@@ -117,14 +140,82 @@ impl RecordKind {
             RecordKind::Subsumption => "subsumption verdicts (U)",
         }
     }
+}
 
-    /// The boolean-verdict kinds, in disk order.
-    pub const BOOL_KINDS: [RecordKind; 4] = [
-        RecordKind::Solver,
-        RecordKind::Inclusion,
-        RecordKind::Shape,
-        RecordKind::Subsumption,
-    ];
+impl From<MemoKind> for RecordKind {
+    fn from(kind: MemoKind) -> Self {
+        match kind {
+            MemoKind::Minterms => RecordKind::Minterms,
+            MemoKind::Inclusion => RecordKind::Inclusion,
+            MemoKind::Shape => RecordKind::Shape,
+            MemoKind::Transition => RecordKind::Transition,
+            MemoKind::Subsumption => RecordKind::Subsumption,
+        }
+    }
+}
+
+/// The value of one memo record, whatever its kind, in the canonical names of its key
+/// (a [`hat_sfa::MemoAnswer`] carries the same value in the asking query's names).
+/// Payloads sit behind an [`Arc`], so promoting a record between tiers or answering a
+/// lookup never deep-copies it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MemoValue {
+    /// A verdict bit (`S`, `I`, `D` and `U` records).
+    Verdict(bool),
+    /// A canonical minterm set (`M` records).
+    Minterms(Arc<MintermSet>),
+    /// A canonical successor automaton (`T` records).
+    Transition(Arc<Sfa>),
+}
+
+impl From<bool> for MemoValue {
+    fn from(verdict: bool) -> Self {
+        MemoValue::Verdict(verdict)
+    }
+}
+
+impl From<MintermSet> for MemoValue {
+    fn from(set: MintermSet) -> Self {
+        MemoValue::Minterms(Arc::new(set))
+    }
+}
+
+impl From<Sfa> for MemoValue {
+    fn from(succ: Sfa) -> Self {
+        MemoValue::Transition(Arc::new(succ))
+    }
+}
+
+/// Serialises one record as the line it occupies in a segment (or a v5 log body).
+fn record_line(kind: RecordKind, key: &str, value: &MemoValue) -> String {
+    let tag = kind.tag();
+    match value {
+        MemoValue::Verdict(verdict) => format!("{tag}{}\t{key}", u8::from(*verdict)),
+        MemoValue::Minterms(set) => format!("{tag}\t{key}\t{}", ser_minterm_set(set)),
+        MemoValue::Transition(succ) => format!("{tag}\t{key}\t{}", ser_sfa(succ)),
+    }
+}
+
+/// Parses one record line — the grammar segment bodies share with the v5 log body.
+/// `None` for a line no record grammar accepts, including an `M`/`T` line whose payload
+/// does not parse exactly: a torn payload degrades to a cold entry, never a wrong one.
+fn parse_record(line: &str) -> Option<(RecordKind, &str, MemoValue)> {
+    let (head, rest) = line.split_once('\t')?;
+    let kind = RecordKind::from_tag(head.get(..1)?)?;
+    let (key, value) = match (kind.is_verdict(), &head[1..]) {
+        (true, "0") => (rest, MemoValue::Verdict(false)),
+        (true, "1") => (rest, MemoValue::Verdict(true)),
+        (false, "") => {
+            let (key, payload) = rest.split_once('\t')?;
+            let value = match kind {
+                RecordKind::Minterms => parse_minterm_set(payload)?.into(),
+                _ => parse_sfa(payload)?.into(),
+            };
+            (key, value)
+        }
+        _ => return None,
+    };
+    Some((kind, key, value))
 }
 
 /// A point-in-time snapshot of the store counters.
@@ -174,18 +265,15 @@ impl CacheStatsSnapshot {
     }
 }
 
+/// The store counters. Hits and misses are counted per kind (indexed by
+/// `kind as usize`) and split into the [`CacheStatsSnapshot`] fields by
+/// [`MemoStore::stats`].
 #[derive(Debug, Default)]
 struct CacheCounters {
-    hits: AtomicUsize,
-    misses: AtomicUsize,
+    hits: [AtomicUsize; 6],
+    misses: [AtomicUsize; 6],
     disk_loaded: AtomicUsize,
     stale: AtomicUsize,
-    minterm_hits: AtomicUsize,
-    minterm_misses: AtomicUsize,
-    transition_hits: AtomicUsize,
-    transition_misses: AtomicUsize,
-    subsumption_hits: AtomicUsize,
-    subsumption_misses: AtomicUsize,
 }
 
 /// The sidecar lock guarding a disk store against concurrent writers. Created with
@@ -291,58 +379,6 @@ impl Drop for CacheLock {
     }
 }
 
-/// One parsed record line (shared by segment replay, legacy replay and
-/// [`MemoStore::inspect`]).
-enum ParsedLine<'a> {
-    Bit(RecordKind, bool, &'a str),
-    Set(&'a str, &'a str),
-    Trans(&'a str, &'a str),
-    Bad,
-}
-
-/// Parses a typed (v2+) record line — the grammar segment bodies share with the legacy
-/// v2–v5 log body. v1 lines use [`parse_v1_line`] instead.
-fn parse_typed_line(line: &str) -> ParsedLine<'_> {
-    match line.split_once('\t') {
-        Some(("S0", key)) => ParsedLine::Bit(RecordKind::Solver, false, key),
-        Some(("S1", key)) => ParsedLine::Bit(RecordKind::Solver, true, key),
-        Some(("I0", key)) => ParsedLine::Bit(RecordKind::Inclusion, false, key),
-        Some(("I1", key)) => ParsedLine::Bit(RecordKind::Inclusion, true, key),
-        Some(("D0", key)) => ParsedLine::Bit(RecordKind::Shape, false, key),
-        Some(("D1", key)) => ParsedLine::Bit(RecordKind::Shape, true, key),
-        Some(("U0", key)) => ParsedLine::Bit(RecordKind::Subsumption, false, key),
-        Some(("U1", key)) => ParsedLine::Bit(RecordKind::Subsumption, true, key),
-        Some(("M", rest)) => match rest.split_once('\t') {
-            Some((key, payload)) => ParsedLine::Set(key, payload),
-            None => ParsedLine::Bad,
-        },
-        Some(("T", rest)) => match rest.split_once('\t') {
-            Some((key, payload)) => ParsedLine::Trans(key, payload),
-            None => ParsedLine::Bad,
-        },
-        _ => ParsedLine::Bad,
-    }
-}
-
-fn parse_v1_line(line: &str) -> ParsedLine<'_> {
-    match line.split_once('\t') {
-        Some(("0", key)) => ParsedLine::Bit(RecordKind::Solver, false, key),
-        Some(("1", key)) => ParsedLine::Bit(RecordKind::Solver, true, key),
-        _ => ParsedLine::Bad,
-    }
-}
-
-fn version_of(header: &str) -> Option<u32> {
-    match header {
-        HEADER_V1 => Some(1),
-        HEADER_V2 => Some(2),
-        HEADER_V3 => Some(3),
-        HEADER_V4 => Some(4),
-        HEADER_V5 => Some(5),
-        _ => None,
-    }
-}
-
 /// The result of one [`MemoStore::compact`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionReport {
@@ -417,86 +453,28 @@ impl CacheFileStats {
             self.dead() as f64 / total as f64
         }
     }
-}
 
-/// Shard count of the transition tier. Coarse on purpose: with the worker-side
-/// [`crate::tier::ShardMirror`] policy the shared transition tier sees only occasional
-/// whole-shard syncs and batched flushes, and a flush costs one lock per *distinct*
-/// shard it touches — so fewer shards means better batch amortisation, while the
-/// per-key-hit contention argument for fine sharding no longer applies.
-const TRANSITION_SHARDS: usize = 4;
-
-/// The shared tiers of every record kind, instantiated once per kind.
-#[derive(Debug)]
-struct KindTiers {
-    solver: SharedTier<bool>,
-    inclusion: SharedTier<bool>,
-    shape: SharedTier<bool>,
-    subsumption: SharedTier<bool>,
-    minterms: SharedTier<MintermSet>,
-    transitions: SharedTier<Sfa>,
-}
-
-impl Default for KindTiers {
-    fn default() -> Self {
-        KindTiers {
-            solver: SharedTier::default(),
-            inclusion: SharedTier::default(),
-            shape: SharedTier::default(),
-            subsumption: SharedTier::default(),
-            minterms: SharedTier::default(),
-            transitions: SharedTier::with_shards(TRANSITION_SHARDS),
-        }
-    }
-}
-
-impl KindTiers {
-    fn bools(&self, kind: RecordKind) -> &SharedTier<bool> {
-        match kind {
-            RecordKind::Solver => &self.solver,
-            RecordKind::Inclusion => &self.inclusion,
-            RecordKind::Shape => &self.shape,
-            RecordKind::Subsumption => &self.subsumption,
-            RecordKind::Minterms | RecordKind::Transition => {
-                unreachable!("{kind:?} is not a boolean record kind")
+    /// Tallies one record line, deduplicating against the keys already `seen` per kind
+    /// (newest segment first for a v6 store, file order for a v5 log).
+    fn tally(&mut self, line: &str, seen: &mut [HashSet<String>; 6]) {
+        match parse_record(line) {
+            Some((kind, key, _)) if seen[kind as usize].insert(key.to_string()) => {
+                *self.live_mut(kind) += 1;
             }
+            Some(_) => self.duplicates += 1,
+            None => self.malformed += 1,
         }
     }
-}
 
-/// The disk tiers of the persisted-by-key kinds: the in-memory image of the segment
-/// stack, replayed once at open (see [`DiskTier`]). Transitions have no disk tier on
-/// purpose — their segments replay straight into the shared transition tier, because
-/// the worker-side shard mirrors sync only from the shared tier and would never see a
-/// disk-tier copy.
-#[derive(Debug, Default)]
-struct DiskTiers {
-    solver: DiskTier<bool>,
-    inclusion: DiskTier<bool>,
-    shape: DiskTier<bool>,
-    subsumption: DiskTier<bool>,
-    minterms: DiskTier<MintermSet>,
-}
-
-impl DiskTiers {
-    fn bools(&self, kind: RecordKind) -> &DiskTier<bool> {
+    fn live_mut(&mut self, kind: RecordKind) -> &mut usize {
         match kind {
-            RecordKind::Solver => &self.solver,
-            RecordKind::Inclusion => &self.inclusion,
-            RecordKind::Shape => &self.shape,
-            RecordKind::Subsumption => &self.subsumption,
-            RecordKind::Minterms | RecordKind::Transition => {
-                unreachable!("{kind:?} is not a boolean record kind")
-            }
+            RecordKind::Solver => &mut self.solver,
+            RecordKind::Inclusion => &mut self.inclusion,
+            RecordKind::Shape => &mut self.shape,
+            RecordKind::Minterms => &mut self.minterms,
+            RecordKind::Transition => &mut self.transitions,
+            RecordKind::Subsumption => &mut self.subsumption,
         }
-    }
-
-    fn lock_acquisitions(&self) -> usize {
-        self.solver.lock_acquisitions()
-            + self.inclusion.lock_acquisitions()
-            + self.shape.lock_acquisitions()
-            + self.subsumption.lock_acquisitions()
-            + self.minterms.lock_acquisitions()
     }
 }
 
@@ -504,8 +482,8 @@ impl DiskTiers {
 enum OnDisk {
     /// Missing or empty file: start a fresh v6 store.
     Fresh,
-    /// A v1–v5 log was replayed: rewrite it as segments + manifest.
-    Legacy,
+    /// A v5 log was replayed: rewrite it as segments + manifest.
+    V5,
     /// A v6 manifest was read and its segments replayed.
     V6(ManifestState),
 }
@@ -515,8 +493,10 @@ enum OnDisk {
 /// in front; see [`crate::tier`]), plus the LSM write path that makes fresh records
 /// durable (see [`crate::lsm`]).
 pub struct MemoStore {
-    tiers: KindTiers,
-    disk: DiskTiers,
+    /// One shared tier per kind, indexed by `kind as usize`.
+    shared: [SharedTier<MemoValue>; 6],
+    /// One disk tier per kind: the image of the segment stack, replayed at open.
+    disk: [DiskTier<MemoValue>; 6],
     /// Declared before `lock`: struct fields drop in declaration order, so the LSM
     /// backend drains its memtable and joins its background thread while the
     /// single-writer lock is still held.
@@ -532,9 +512,6 @@ pub struct MemoStore {
     degraded: bool,
     counters: CacheCounters,
 }
-
-/// The pre-v5 name of [`MemoStore`], kept for readability of older discussions.
-pub type QueryCache = MemoStore;
 
 impl std::fmt::Debug for MemoStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -556,8 +533,8 @@ impl Default for MemoStore {
 impl MemoStore {
     fn empty() -> Self {
         MemoStore {
-            tiers: KindTiers::default(),
-            disk: DiskTiers::default(),
+            shared: Default::default(),
+            disk: Default::default(),
             lsm: None,
             lock: None,
             path: None,
@@ -569,12 +546,12 @@ impl MemoStore {
     /// A purely in-memory store (no persistence).
     ///
     /// ```
-    /// use hat_engine::MemoStore;
+    /// use hat_engine::{MemoStore, MemoValue, RecordKind};
     ///
     /// let cache = MemoStore::in_memory();
-    /// assert_eq!(cache.lookup("sat|k"), None);
-    /// cache.insert("sat|k".into(), true);
-    /// assert_eq!(cache.lookup("sat|k"), Some(true));
+    /// assert_eq!(cache.lookup(RecordKind::Solver, "sat|k"), None);
+    /// cache.insert(RecordKind::Solver, "sat|k".into(), true.into());
+    /// assert_eq!(cache.lookup(RecordKind::Solver, "sat|k"), Some(MemoValue::Verdict(true)));
     /// let stats = cache.stats();
     /// assert_eq!((stats.hits, stats.misses), (1, 1));
     /// ```
@@ -591,11 +568,11 @@ impl MemoStore {
     /// A store backed by the LSM disk store at `path` (`path` is the manifest;
     /// segments live under `<path>.d/`). Existing segments are replayed into the disk
     /// tiers (warm start) and fresh verdicts flow through the memtable to new segments.
-    /// A `v1`–`v5` log is migrated to the v6 layout atomically on open; a store whose
+    /// A `v5` log is migrated to the v6 layout atomically on open; a store whose
     /// replay found enough dead records gets an immediate compaction nudge. A file
-    /// whose header belongs to any other format version is left untouched: the store
-    /// runs in-memory only and counts the file as stale (destroying data a newer binary
-    /// wrote would be worse than running cold).
+    /// whose header belongs to any other format version, older or newer, is left
+    /// untouched: the store runs in-memory only and counts the file as stale
+    /// (destroying data a newer binary wrote would be worse than running cold).
     ///
     /// Opening takes the sidecar lock `<path>.lock`. If another live process holds it,
     /// this store **degrades to in-memory** (entries are still replayed read-only for a
@@ -664,32 +641,23 @@ impl MemoStore {
                         continue;
                     }
                     for line in &scan.lines {
-                        cache.load_line(parse_typed_line(line), &mut duplicates, &mut stale_lines);
+                        cache.replay(line, &mut duplicates, &mut stale_lines);
                     }
                 }
                 on_disk = OnDisk::V6(state);
             } else {
-                // Not a v6 manifest: a legacy log, a foreign version, or an empty file.
+                // Not a v6 manifest: a v5 log, a foreign version, or an empty file.
                 let reader = BufReader::new(File::open(path)?);
                 let mut lines = reader.lines();
                 match lines.next() {
-                    Some(Ok(header)) if version_of(&header).is_some() => {
-                        // v1 records are untyped; v2–v5 share one grammar (each version
-                        // adds a record kind), so one loop replays them all.
-                        let v1 = header == HEADER_V1;
+                    Some(Ok(header)) if header == HEADER_V5 => {
                         for line in lines {
-                            let Ok(line) = line else {
-                                stale_lines += 1;
-                                continue;
-                            };
-                            let parsed = if v1 {
-                                parse_v1_line(&line)
-                            } else {
-                                parse_typed_line(&line)
-                            };
-                            cache.load_line(parsed, &mut duplicates, &mut stale_lines);
+                            match line {
+                                Ok(line) => cache.replay(&line, &mut duplicates, &mut stale_lines),
+                                Err(_) => stale_lines += 1,
+                            }
                         }
-                        on_disk = OnDisk::Legacy;
+                        on_disk = OnDisk::V5;
                     }
                     Some(_) => {
                         // Unknown header: a different format version (or not a cache
@@ -713,7 +681,7 @@ impl MemoStore {
         }
         let state = match on_disk {
             OnDisk::V6(state) => state,
-            OnDisk::Legacy => cache.migrate_to_v6(path)?,
+            OnDisk::V5 => cache.migrate_to_v6(path)?,
             OnDisk::Fresh => {
                 // Commit the empty manifest up front so the path always carries the v6
                 // header — a pre-v6 binary opening it later sees a foreign version and
@@ -737,74 +705,38 @@ impl MemoStore {
         Ok(cache)
     }
 
-    /// Replays one parsed record line into the replay target of its kind: boolean and
-    /// minterm records into the disk tiers, transition records into the *shared*
-    /// transition tier (the worker-side shard mirrors sync only from the shared tier).
-    fn load_line(&self, parsed: ParsedLine<'_>, duplicates: &mut usize, stale: &mut usize) {
-        match parsed {
-            ParsedLine::Bit(kind, verdict, key) => {
-                if self.disk.bools(kind).put_quiet(key.to_string(), verdict) {
+    /// Replays one record line into the disk tier of its kind, counting it loaded,
+    /// duplicate (an earlier replayed line held the key) or stale (malformed).
+    fn replay(&self, line: &str, duplicates: &mut usize, stale: &mut usize) {
+        match parse_record(line) {
+            Some((kind, key, value)) => {
+                if self.disk[kind as usize].put_quiet(key.to_string(), value) {
                     self.counters.disk_loaded.fetch_add(1, Ordering::Relaxed);
                 } else {
                     *duplicates += 1;
                 }
             }
-            ParsedLine::Set(key, payload) => match parse_minterm_set(payload) {
-                Some(set) => {
-                    if self.disk.minterms.put_quiet(key.to_string(), set) {
-                        self.counters.disk_loaded.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        *duplicates += 1;
-                    }
-                }
-                None => *stale += 1,
-            },
-            ParsedLine::Trans(key, payload) => match parse_sfa(payload) {
-                Some(succ) => {
-                    if self.tiers.transitions.put_quiet(key.to_string(), succ) {
-                        self.counters.disk_loaded.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        *duplicates += 1;
-                    }
-                }
-                None => *stale += 1,
-            },
-            ParsedLine::Bad => *stale += 1,
+            None => *stale += 1,
         }
     }
 
-    /// Rewrites a replayed v1–v5 log as the v6 layout: every live entry becomes a
-    /// sorted, partitioned level-0 segment under `<path>.d/`, and the manifest
-    /// atomically replaces the legacy log only after every segment is durable — an
-    /// interrupted migration leaves the legacy log intact (plus invisible orphan
-    /// segments the next locked open garbage-collects).
+    /// Rewrites a replayed v5 log as the v6 layout: every live entry becomes a sorted,
+    /// partitioned level-0 segment under `<path>.d/`, and the manifest atomically
+    /// replaces the v5 log only after every segment is durable — an interrupted
+    /// migration leaves the v5 log intact (plus invisible orphan segments the next
+    /// locked open garbage-collects).
     fn migrate_to_v6(&self, path: &Path) -> std::io::Result<ManifestState> {
-        use std::collections::BTreeMap;
         let dir = lsm::segment_dir_for(path);
         std::fs::create_dir_all(&dir)?;
         let mut families: BTreeMap<(RecordKind, u8), Vec<(String, String)>> = BTreeMap::new();
-        for kind in RecordKind::BOOL_KINDS {
-            for (key, verdict) in self.disk.bools(kind).snapshot() {
-                let line = format!("{}{}\t{key}", kind.tag(), u8::from(verdict));
+        for kind in RecordKind::ALL {
+            for (key, value) in self.disk[kind as usize].snapshot() {
+                let line = record_line(kind, &key, &value);
                 families
                     .entry((kind, lsm::partition_of(&key)))
                     .or_default()
                     .push((key, line));
             }
-        }
-        for (key, set) in self.disk.minterms.snapshot() {
-            let line = format!("M\t{key}\t{}", ser_minterm_set(&set));
-            families
-                .entry((RecordKind::Minterms, lsm::partition_of(&key)))
-                .or_default()
-                .push((key, line));
-        }
-        for (key, succ) in self.tiers.transitions.snapshot() {
-            let line = format!("T\t{key}\t{}", ser_sfa(&succ));
-            families
-                .entry((RecordKind::Transition, lsm::partition_of(&key)))
-                .or_default()
-                .push((key, line));
         }
         let mut state = ManifestState::default();
         for ((kind, partition), mut lines) in families {
@@ -896,80 +828,31 @@ impl MemoStore {
                     .map(|m| m.len())
                     .unwrap_or(meta.bytes);
                 for line in &scan.lines {
-                    Self::tally_line(parse_typed_line(line), &mut seen, &mut stats);
+                    stats.tally(line, &mut seen);
                 }
             }
             return Ok(stats);
         }
-        // Legacy (v1–v5) or foreign: a flat scan of the single file.
+        // A v5 log or a foreign file: a flat scan of the single file.
         let reader = BufReader::new(File::open(path)?);
         let mut lines = reader.lines();
         let Some(Ok(header)) = lines.next() else {
             return Ok(stats);
         };
-        stats.version = version_of(&header);
-        stats.header = Some(header.clone());
-        let Some(version) = stats.version else {
+        let v5 = header == HEADER_V5;
+        stats.header = Some(header);
+        if !v5 {
             return Ok(stats); // Foreign: nothing beyond the header is ours to judge.
-        };
+        }
+        stats.version = Some(5);
         let mut seen: [HashSet<String>; 6] = Default::default();
         for line in lines {
-            let Ok(line) = line else {
-                stats.malformed += 1;
-                continue;
-            };
-            let parsed = if version == 1 {
-                parse_v1_line(&line)
-            } else {
-                parse_typed_line(&line)
-            };
-            Self::tally_line(parsed, &mut seen, &mut stats);
+            match line {
+                Ok(line) => stats.tally(&line, &mut seen),
+                Err(_) => stats.malformed += 1,
+            }
         }
         Ok(stats)
-    }
-
-    /// Tallies one parsed line into an inspection report, deduplicating against the
-    /// lines already seen (newest-first for segments, file order for legacy logs).
-    fn tally_line(
-        parsed: ParsedLine<'_>,
-        seen: &mut [HashSet<String>; 6],
-        stats: &mut CacheFileStats,
-    ) {
-        match parsed {
-            ParsedLine::Bit(kind, _, key) => {
-                let (slot, counter) = match kind {
-                    RecordKind::Solver => (0, &mut stats.solver),
-                    RecordKind::Inclusion => (1, &mut stats.inclusion),
-                    RecordKind::Shape => (2, &mut stats.shape),
-                    RecordKind::Subsumption => (5, &mut stats.subsumption),
-                    _ => unreachable!(),
-                };
-                if seen[slot].insert(key.to_string()) {
-                    *counter += 1;
-                } else {
-                    stats.duplicates += 1;
-                }
-            }
-            ParsedLine::Set(key, payload) => {
-                if parse_minterm_set(payload).is_none() {
-                    stats.malformed += 1;
-                } else if seen[3].insert(key.to_string()) {
-                    stats.minterms += 1;
-                } else {
-                    stats.duplicates += 1;
-                }
-            }
-            ParsedLine::Trans(key, payload) => {
-                if parse_sfa(payload).is_none() {
-                    stats.malformed += 1;
-                } else if seen[4].insert(key.to_string()) {
-                    stats.transitions += 1;
-                } else {
-                    stats.duplicates += 1;
-                }
-            }
-            ParsedLine::Bad => stats.malformed += 1,
-        }
     }
 
     /// Compacts the segment stack: drains the memtable, then asks the background
@@ -1019,202 +902,40 @@ impl MemoStore {
     /// Records a local-tier hit for `kind` in the store-wide hit counters, so snapshots
     /// keep meaning "answered from a memo" no matter which tier answered.
     pub fn note_local_hit(&self, kind: RecordKind) {
-        self.note_local(kind, true);
+        self.counters.hits[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a local-tier lookup outcome for `kind` in the store-wide counters (used
-    /// by tier policies that answer without consulting the shared tier per key, like
-    /// the transition shard mirror).
-    pub fn note_local(&self, kind: RecordKind, hit: bool) {
-        let counter = match (kind, hit) {
-            (RecordKind::Minterms, true) => &self.counters.minterm_hits,
-            (RecordKind::Minterms, false) => &self.counters.minterm_misses,
-            (RecordKind::Transition, true) => &self.counters.transition_hits,
-            (RecordKind::Transition, false) => &self.counters.transition_misses,
-            (RecordKind::Subsumption, true) => &self.counters.subsumption_hits,
-            (RecordKind::Subsumption, false) => &self.counters.subsumption_misses,
-            (_, true) => &self.counters.hits,
-            (_, false) => &self.counters.misses,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The shared transition tier, for the worker-side
-    /// [`ShardMirror`](crate::tier::ShardMirror) policy.
-    pub fn transition_tier(&self) -> &SharedTier<Sfa> {
-        &self.tiers.transitions
-    }
-
-    /// Looks a boolean verdict up: shared tier first, then read-through to the disk
-    /// tier, promoting (moving) a disk hit into the shared tier so each warm record
-    /// pays its disk-tier lock at most once. Counts a hit or a miss either way —
-    /// subsumption probes into their own counters (a `U` miss costs a local fixpoint,
-    /// not a solver query, so it must not dilute the solver-facing miss count).
-    pub fn lookup_bool(&self, kind: RecordKind, key: &str) -> Option<bool> {
-        let (hits, misses) = if kind == RecordKind::Subsumption {
-            (
-                &self.counters.subsumption_hits,
-                &self.counters.subsumption_misses,
-            )
-        } else {
-            (&self.counters.hits, &self.counters.misses)
-        };
-        if let Some(found) = self.tiers.bools(kind).get_str(key) {
-            hits.fetch_add(1, Ordering::Relaxed);
-            return Some(found);
-        }
-        if let Some(found) = self.disk.bools(kind).get_str(key) {
+    /// Looks a record up: shared tier first, then read-through to the disk tier,
+    /// promoting (moving) a disk hit into the shared tier so each warm record pays its
+    /// disk-tier lock at most once. Counts a hit or a miss for `kind` either way.
+    pub fn lookup(&self, kind: RecordKind, key: &str) -> Option<MemoValue> {
+        let shared = &self.shared[kind as usize];
+        let disk = &self.disk[kind as usize];
+        let found = shared.get(key).or_else(|| {
+            let found = disk.get(key)?;
             // Promotion is replay-like bookkeeping, not new contention: uncounted in
             // the shared tier. Racing promotions both write the same value.
-            self.tiers.bools(kind).put_quiet(key.to_string(), found);
-            self.disk.bools(kind).evict(key);
-            hits.fetch_add(1, Ordering::Relaxed);
-            return Some(found);
-        }
-        misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Records a boolean verdict in the shared tier of `kind`, logging it to the LSM
-    /// memtable when it is fresh and this store writes to disk. Racing inserts of the
-    /// same key are harmless: canonical keys determine their verdict. (An insert whose
-    /// key was never looked up can duplicate a record that sits un-promoted in the disk
-    /// tier — compaction drops such duplicates.)
-    pub fn insert_bool(&self, kind: RecordKind, key: String, verdict: bool) {
-        let fresh = self.tiers.bools(kind).put_owned(key.clone(), verdict);
-        if fresh {
-            if let Some(lsm) = &self.lsm {
-                lsm.log(
-                    kind,
-                    &key,
-                    format!("{}{}\t{key}", kind.tag(), u8::from(verdict)),
-                );
-            }
-        }
-    }
-
-    /// Looks a solver-verdict key up, counting a hit or a miss.
-    pub fn lookup(&self, key: &str) -> Option<bool> {
-        self.lookup_bool(RecordKind::Solver, key)
-    }
-
-    /// Records a solver verdict, logging it to the memtable when a disk store is
-    /// attached.
-    pub fn insert(&self, key: String, verdict: bool) {
-        self.insert_bool(RecordKind::Solver, key, verdict);
-    }
-
-    /// Looks an inclusion-verdict key up, counting a hit or a miss.
-    pub fn lookup_inclusion(&self, key: &str) -> Option<bool> {
-        self.lookup_bool(RecordKind::Inclusion, key)
-    }
-
-    /// Records an automata-inclusion verdict.
-    pub fn insert_inclusion(&self, key: String, verdict: bool) {
-        self.insert_bool(RecordKind::Inclusion, key, verdict);
-    }
-
-    /// Looks a DFA-shape verdict key up, counting a hit or a miss.
-    pub fn lookup_shape(&self, key: &str) -> Option<bool> {
-        self.lookup_bool(RecordKind::Shape, key)
-    }
-
-    /// Records a per-group DFA-shape verdict (see [`crate::canon::shape_key`]).
-    pub fn insert_shape(&self, key: String, verdict: bool) {
-        self.insert_bool(RecordKind::Shape, key, verdict);
-    }
-
-    /// Looks a subsumption-verdict key up, counting a hit or a miss.
-    pub fn lookup_subsumption(&self, key: &str) -> Option<bool> {
-        self.lookup_bool(RecordKind::Subsumption, key)
-    }
-
-    /// Records a simulation-subsumption verdict (see
-    /// [`crate::canon::subsumption_key`]).
-    pub fn insert_subsumption(&self, key: String, verdict: bool) {
-        self.insert_bool(RecordKind::Subsumption, key, verdict);
-    }
-
-    /// Looks a memoised minterm set up by its canonical alphabet key: shared tier
-    /// first, then read-through to the disk tier with promotion.
-    pub fn lookup_minterms(&self, key: &str) -> Option<MintermSet> {
-        if let Some(found) = self.tiers.minterms.get_str(key) {
-            self.counters.minterm_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(found);
-        }
-        if let Some(found) = self.disk.minterms.get_str(key) {
-            self.tiers
-                .minterms
-                .put_quiet(key.to_string(), found.clone());
-            self.disk.minterms.evict(key);
-            self.counters.minterm_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(found);
-        }
-        self.counters.minterm_misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Memoises an enumerated minterm set, logging it to the memtable when it is fresh
-    /// and a disk store is attached (racing stores of the same key are harmless
-    /// because enumeration is a pure function of the canonical key).
-    pub fn insert_minterms(&self, key: String, set: MintermSet) {
-        let line = self
-            .lsm
-            .as_ref()
-            .map(|_| format!("M\t{key}\t{}", ser_minterm_set(&set)));
-        let fresh = self.tiers.minterms.put_owned(key.clone(), set);
-        if fresh {
-            if let (Some(lsm), Some(line)) = (&self.lsm, line) {
-                lsm.log(RecordKind::Minterms, &key, line);
-            }
-        }
-    }
-
-    /// Looks a memoised DFA transition up by its canonical transition key. Transitions
-    /// replay into the shared tier at open (see `DiskTiers`), so no disk-tier
-    /// fallback is needed here.
-    pub fn lookup_transition(&self, key: &str) -> Option<Sfa> {
-        let found = self.tiers.transitions.get_str(key);
-        match found {
-            Some(_) => self
-                .counters
-                .transition_hits
-                .fetch_add(1, Ordering::Relaxed),
-            None => self
-                .counters
-                .transition_misses
-                .fetch_add(1, Ordering::Relaxed),
+            shared.put_quiet(key.to_string(), found.clone());
+            disk.evict(key);
+            Some(found)
+        });
+        let counter = match found {
+            Some(_) => &self.counters.hits[kind as usize],
+            None => &self.counters.misses[kind as usize],
         };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Memoises a DFA transition, logging it to the memtable when it is fresh and a
-    /// disk store is attached (since v6; racing stores of the same key are harmless
-    /// because the successor is a pure function of the canonical key).
-    pub fn insert_transition(&self, key: String, succ: Sfa) {
-        let line = self
-            .lsm
-            .as_ref()
-            .map(|_| format!("T\t{key}\t{}", ser_sfa(&succ)));
-        let fresh = self.tiers.transitions.put_owned(key.clone(), succ);
-        if fresh {
-            if let (Some(lsm), Some(line)) = (&self.lsm, line) {
-                lsm.log(RecordKind::Transition, &key, line);
-            }
-        }
-    }
-
-    /// Logs a transition produced on the worker-side mirror path, which stores through
-    /// the local replica and write-behind batches without touching the shared tier per
-    /// key — so the store cannot tell fresh from repeat here and logs unconditionally.
-    /// Cross-worker duplicates are dropped by memtable dedup and compaction.
-    pub fn log_transition(&self, key: &str, succ: &Sfa) {
-        if let Some(lsm) = &self.lsm {
-            lsm.log(
-                RecordKind::Transition,
-                key,
-                format!("T\t{key}\t{}", ser_sfa(succ)),
-            );
+    /// Records a value in the shared tier of `kind`; when the insert is fresh and this
+    /// store writes to disk, serialises the record and logs it to the LSM memtable.
+    /// Racing inserts of the same key are harmless: canonical keys determine their
+    /// value. (An insert whose key was never looked up can duplicate a record that sits
+    /// un-promoted in the disk tier — compaction drops such duplicates.)
+    pub fn insert(&self, kind: RecordKind, key: String, value: MemoValue) {
+        let fresh = self.shared[kind as usize].put(key.clone(), value.clone());
+        if let (true, Some(lsm)) = (fresh, &self.lsm) {
+            lsm.log(kind, &key, record_line(kind, &key, &value));
         }
     }
 
@@ -1226,17 +947,14 @@ impl MemoStore {
         }
     }
 
-    /// Number of cached boolean verdicts (all three kinds, shared and un-promoted disk
-    /// entries together — promotion moves records between the two, keeping the total
-    /// stable).
+    /// Number of cached verdicts (the four verdict kinds `S`, `I`, `D` and `U`; shared
+    /// and un-promoted disk entries together — promotion moves records between the
+    /// two, keeping the total stable).
     pub fn len(&self) -> usize {
-        use crate::tier::MemoTier;
-        RecordKind::BOOL_KINDS
-            .iter()
-            .map(|&k| {
-                MemoTier::<String, bool>::len(self.tiers.bools(k))
-                    + MemoTier::<String, bool>::len(self.disk.bools(k))
-            })
+        RecordKind::ALL
+            .into_iter()
+            .filter(|kind| kind.is_verdict())
+            .map(|kind| self.shared[kind as usize].len() + self.disk[kind as usize].len())
             .sum()
     }
 
@@ -1248,48 +966,29 @@ impl MemoStore {
     /// Per-kind shared-tier lock acquisitions (diagnostic: shows which record kind's
     /// traffic the local tiers are or are not absorbing).
     pub fn lock_breakdown(&self) -> [(RecordKind, usize); 6] {
-        [
-            (RecordKind::Solver, self.tiers.solver.lock_acquisitions()),
-            (
-                RecordKind::Inclusion,
-                self.tiers.inclusion.lock_acquisitions(),
-            ),
-            (RecordKind::Shape, self.tiers.shape.lock_acquisitions()),
-            (
-                RecordKind::Subsumption,
-                self.tiers.subsumption.lock_acquisitions(),
-            ),
-            (
-                RecordKind::Minterms,
-                self.tiers.minterms.lock_acquisitions(),
-            ),
-            (
-                RecordKind::Transition,
-                self.tiers.transitions.lock_acquisitions(),
-            ),
-        ]
+        RecordKind::ALL.map(|kind| (kind, self.shared[kind as usize].lock_acquisitions()))
     }
 
-    /// A snapshot of the hit/miss/disk/lock counters.
+    /// A snapshot of the hit/miss/disk/lock counters. Subsumption probes keep their
+    /// own counters: a `U` miss costs a local fixpoint, not a solver query, so it must
+    /// not dilute the solver-facing miss count.
     pub fn stats(&self) -> CacheStatsSnapshot {
+        let hits = |kind: RecordKind| self.counters.hits[kind as usize].load(Ordering::Relaxed);
+        let misses = |kind: RecordKind| self.counters.misses[kind as usize].load(Ordering::Relaxed);
+        let solver_facing = [RecordKind::Solver, RecordKind::Inclusion, RecordKind::Shape];
         CacheStatsSnapshot {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
+            hits: solver_facing.into_iter().map(hits).sum(),
+            misses: solver_facing.into_iter().map(misses).sum(),
             disk_loaded: self.counters.disk_loaded.load(Ordering::Relaxed),
             stale: self.counters.stale.load(Ordering::Relaxed),
-            minterm_hits: self.counters.minterm_hits.load(Ordering::Relaxed),
-            minterm_misses: self.counters.minterm_misses.load(Ordering::Relaxed),
-            transition_hits: self.counters.transition_hits.load(Ordering::Relaxed),
-            transition_misses: self.counters.transition_misses.load(Ordering::Relaxed),
-            subsumption_hits: self.counters.subsumption_hits.load(Ordering::Relaxed),
-            subsumption_misses: self.counters.subsumption_misses.load(Ordering::Relaxed),
-            lock_acquisitions: self.tiers.solver.lock_acquisitions()
-                + self.tiers.inclusion.lock_acquisitions()
-                + self.tiers.shape.lock_acquisitions()
-                + self.tiers.subsumption.lock_acquisitions()
-                + self.tiers.minterms.lock_acquisitions()
-                + self.tiers.transitions.lock_acquisitions(),
-            disk_lock_acquisitions: self.disk.lock_acquisitions(),
+            minterm_hits: hits(RecordKind::Minterms),
+            minterm_misses: misses(RecordKind::Minterms),
+            transition_hits: hits(RecordKind::Transition),
+            transition_misses: misses(RecordKind::Transition),
+            subsumption_hits: hits(RecordKind::Subsumption),
+            subsumption_misses: misses(RecordKind::Subsumption),
+            lock_acquisitions: self.shared.iter().map(SharedTier::lock_acquisitions).sum(),
+            disk_lock_acquisitions: self.disk.iter().map(DiskTier::lock_acquisitions).sum(),
         }
     }
 }
@@ -1321,9 +1020,9 @@ mod tests {
     #[test]
     fn lookup_miss_then_hit() {
         let cache = MemoStore::in_memory();
-        assert_eq!(cache.lookup("k"), None);
-        cache.insert("k".into(), true);
-        assert_eq!(cache.lookup("k"), Some(true));
+        assert_eq!(cache.lookup(RecordKind::Solver, "k"), None);
+        cache.insert(RecordKind::Solver, "k".into(), true.into());
+        assert_eq!(cache.lookup(RecordKind::Solver, "k"), Some(true.into()));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
@@ -1343,15 +1042,15 @@ mod tests {
         cleanup(&path);
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
-            cache.insert("alpha".into(), true);
-            cache.insert("beta".into(), false);
+            cache.insert(RecordKind::Solver, "alpha".into(), true.into());
+            cache.insert(RecordKind::Solver, "beta".into(), false.into());
             cache.flush();
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(warm.len(), 2);
         assert_eq!(warm.stats().disk_loaded, 2);
-        assert_eq!(warm.lookup("alpha"), Some(true));
-        assert_eq!(warm.lookup("beta"), Some(false));
+        assert_eq!(warm.lookup(RecordKind::Solver, "alpha"), Some(true.into()));
+        assert_eq!(warm.lookup(RecordKind::Solver, "beta"), Some(false.into()));
         assert_eq!(warm.stats().stale, 0);
         let contents = std::fs::read_to_string(&path).unwrap();
         assert!(
@@ -1367,8 +1066,8 @@ mod tests {
         cleanup(&path);
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
-            cache.insert("k".into(), true);
-            cache.insert("k".into(), true);
+            cache.insert(RecordKind::Solver, "k".into(), true.into());
+            cache.insert(RecordKind::Solver, "k".into(), true.into());
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(warm.stats().disk_loaded, 1);
@@ -1381,22 +1080,32 @@ mod tests {
     #[test]
     fn unknown_header_is_ignored_and_left_untouched() {
         let path = temp_path("stale");
-        cleanup(&path);
-        let foreign = "hat-engine-cache v999\nS1\tk\n";
-        std::fs::write(&path, foreign).unwrap();
-        let cache = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.stats().stale, 1);
-        // The cache degrades to in-memory: inserts work but are not persisted, and the
-        // foreign file's contents survive byte for byte.
-        cache.insert("k2".into(), false);
-        cache.flush();
-        drop(cache);
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), foreign);
-        assert!(
-            !lsm::segment_dir_for(&path).exists(),
-            "no segment directory may appear next to a foreign file"
-        );
+        // A newer binary's header, and the pre-v5 headers of older binaries, which are
+        // no longer migrated: each is as foreign as the other.
+        for header in [
+            "hat-engine-cache v999",
+            "hat-engine-cache v1",
+            "hat-engine-cache v2",
+            "hat-engine-cache v3",
+            "hat-engine-cache v4",
+        ] {
+            cleanup(&path);
+            let foreign = format!("{header}\nS1\tk\n");
+            std::fs::write(&path, &foreign).unwrap();
+            let cache = MemoStore::with_disk_log(&path).unwrap();
+            assert_eq!(cache.len(), 0, "{header}");
+            assert_eq!(cache.stats().stale, 1, "{header}");
+            // The cache degrades to in-memory: inserts work but are not persisted, and
+            // the foreign file's contents survive byte for byte.
+            cache.insert(RecordKind::Solver, "k2".into(), false.into());
+            cache.flush();
+            drop(cache);
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), foreign);
+            assert!(
+                !lsm::segment_dir_for(&path).exists(),
+                "no segment directory may appear next to a foreign file ({header})"
+            );
+        }
         cleanup(&path);
     }
 
@@ -1411,126 +1120,18 @@ mod tests {
         .unwrap();
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
-            assert_eq!(cache.lookup("good"), Some(true));
+            assert_eq!(cache.lookup(RecordKind::Solver, "good"), Some(true.into()));
             assert_eq!(cache.stats().stale, 1);
-            cache.insert("fresh".into(), true);
+            cache.insert(RecordKind::Solver, "fresh".into(), true.into());
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup("good"), Some(true));
-        assert_eq!(warm.lookup("fresh"), Some(true));
+        assert_eq!(warm.lookup(RecordKind::Solver, "good"), Some(true.into()));
+        assert_eq!(warm.lookup(RecordKind::Solver, "fresh"), Some(true.into()));
         assert_eq!(
             warm.stats().stale,
             0,
             "the torn line did not survive migration"
         );
-        cleanup(&path);
-    }
-
-    #[test]
-    fn v1_logs_are_migrated_not_misread() {
-        let path = temp_path("migrate-v1");
-        cleanup(&path);
-        std::fs::write(
-            &path,
-            "hat-engine-cache v1\n1\tsat|k1\n0\tsat|k2\nmalformed",
-        )
-        .unwrap();
-        let cache = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(cache.lookup("sat|k1"), Some(true));
-        assert_eq!(cache.lookup("sat|k2"), Some(false));
-        assert_eq!(cache.stats().disk_loaded, 2);
-        assert_eq!(cache.stats().stale, 1, "the torn v1 line is skipped");
-        // New entries of other kinds flow into the migrated store.
-        cache.insert_inclusion("incl|k3".into(), true);
-        drop(cache);
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            contents.starts_with(lsm::MANIFEST_HEADER_V6),
-            "the file must be rewritten as the v6 manifest, got: {contents:?}"
-        );
-        let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup("sat|k1"), Some(true));
-        assert_eq!(warm.lookup("sat|k2"), Some(false));
-        assert_eq!(warm.lookup_inclusion("incl|k3"), Some(true));
-        assert_eq!(warm.stats().stale, 0, "a migrated store replays cleanly");
-        cleanup(&path);
-    }
-
-    #[test]
-    fn v2_logs_are_migrated_to_v6() {
-        let path = temp_path("migrate-v2");
-        cleanup(&path);
-        std::fs::write(&path, format!("{HEADER_V2}\nS1\tsat|k1\nI0\tincl|k2\n")).unwrap();
-        let cache = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(cache.lookup("sat|k1"), Some(true));
-        assert_eq!(cache.lookup_inclusion("incl|k2"), Some(false));
-        cache.insert_minterms("mt|k3".into(), MintermSet::default());
-        drop(cache);
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            contents.starts_with(lsm::MANIFEST_HEADER_V6),
-            "v2 logs must be rewritten as the v6 manifest, got: {contents:?}"
-        );
-        let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup("sat|k1"), Some(true));
-        assert_eq!(warm.lookup_inclusion("incl|k2"), Some(false));
-        assert!(warm.lookup_minterms("mt|k3").is_some());
-        assert_eq!(warm.stats().stale, 0, "a migrated store replays cleanly");
-        cleanup(&path);
-    }
-
-    #[test]
-    fn v3_logs_are_migrated_to_v6() {
-        let path = temp_path("migrate-v3");
-        cleanup(&path);
-        std::fs::write(
-            &path,
-            format!("{HEADER_V3}\nS1\tsat|k1\nI0\tincl|k2\nM\tmt|k3\tU0;M0;P0;Q0;\n"),
-        )
-        .unwrap();
-        let cache = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(cache.lookup("sat|k1"), Some(true));
-        assert_eq!(cache.lookup_inclusion("incl|k2"), Some(false));
-        assert!(cache.lookup_minterms("mt|k3").is_some());
-        cache.insert_shape("shape|k4".into(), true);
-        drop(cache);
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            contents.starts_with(lsm::MANIFEST_HEADER_V6),
-            "v3 logs must be rewritten as the v6 manifest, got: {contents:?}"
-        );
-        let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup("sat|k1"), Some(true));
-        assert_eq!(warm.lookup_inclusion("incl|k2"), Some(false));
-        assert!(warm.lookup_minterms("mt|k3").is_some());
-        assert_eq!(warm.lookup_shape("shape|k4"), Some(true));
-        assert_eq!(warm.stats().stale, 0, "a migrated store replays cleanly");
-        cleanup(&path);
-    }
-
-    #[test]
-    fn v4_logs_are_migrated_to_v6() {
-        let path = temp_path("migrate-v4");
-        cleanup(&path);
-        std::fs::write(
-            &path,
-            format!("{HEADER_V4}\nS1\tsat|k1\nI0\tincl|k2\nD1\tshape|k3\nM\tmt|k4\tU0;M0;P0;Q0;\n"),
-        )
-        .unwrap();
-        let cache = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(cache.lookup("sat|k1"), Some(true));
-        assert_eq!(cache.lookup_inclusion("incl|k2"), Some(false));
-        assert_eq!(cache.lookup_shape("shape|k3"), Some(true));
-        assert!(cache.lookup_minterms("mt|k4").is_some());
-        drop(cache);
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            contents.starts_with(lsm::MANIFEST_HEADER_V6),
-            "v4 logs must be rewritten as the v6 manifest, got: {contents:?}"
-        );
-        let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.stats().disk_loaded, 4);
-        assert_eq!(warm.stats().stale, 0, "a migrated store replays cleanly");
         cleanup(&path);
     }
 
@@ -1560,10 +1161,16 @@ mod tests {
         );
         assert!(stats.segments >= 1);
         let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup("sat|k1"), Some(true));
-        assert_eq!(warm.lookup_inclusion("incl|k2"), Some(false));
-        assert_eq!(warm.lookup_shape("shape|k3"), Some(true));
-        assert!(warm.lookup_minterms("mt|k4").is_some());
+        assert_eq!(warm.lookup(RecordKind::Solver, "sat|k1"), Some(true.into()));
+        assert_eq!(
+            warm.lookup(RecordKind::Inclusion, "incl|k2"),
+            Some(false.into())
+        );
+        assert_eq!(
+            warm.lookup(RecordKind::Shape, "shape|k3"),
+            Some(true.into())
+        );
+        assert!(warm.lookup(RecordKind::Minterms, "mt|k4").is_some());
         assert_eq!(warm.stats().stale, 0);
         cleanup(&path);
     }
@@ -1574,28 +1181,40 @@ mod tests {
         cleanup(&path);
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
-            assert_eq!(cache.lookup_shape("shape|a"), None);
-            cache.insert_shape("shape|a".into(), true);
-            cache.insert_shape("shape|b".into(), false);
+            assert_eq!(cache.lookup(RecordKind::Shape, "shape|a"), None);
+            cache.insert(RecordKind::Shape, "shape|a".into(), true.into());
+            cache.insert(RecordKind::Shape, "shape|b".into(), false.into());
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(warm.stats().disk_loaded, 2);
-        assert_eq!(warm.lookup_shape("shape|a"), Some(true));
-        assert_eq!(warm.lookup_shape("shape|b"), Some(false));
+        assert_eq!(warm.lookup(RecordKind::Shape, "shape|a"), Some(true.into()));
+        assert_eq!(
+            warm.lookup(RecordKind::Shape, "shape|b"),
+            Some(false.into())
+        );
         cleanup(&path);
     }
 
     #[test]
     fn solver_inclusion_and_shape_namespaces_never_collide() {
         let cache = MemoStore::in_memory();
-        cache.insert("shared-key".into(), true);
-        assert_eq!(cache.lookup_inclusion("shared-key"), None);
-        assert_eq!(cache.lookup_shape("shared-key"), None);
-        cache.insert_inclusion("shared-key".into(), false);
-        cache.insert_shape("shared-key".into(), true);
-        assert_eq!(cache.lookup("shared-key"), Some(true));
-        assert_eq!(cache.lookup_inclusion("shared-key"), Some(false));
-        assert_eq!(cache.lookup_shape("shared-key"), Some(true));
+        cache.insert(RecordKind::Solver, "shared-key".into(), true.into());
+        assert_eq!(cache.lookup(RecordKind::Inclusion, "shared-key"), None);
+        assert_eq!(cache.lookup(RecordKind::Shape, "shared-key"), None);
+        cache.insert(RecordKind::Inclusion, "shared-key".into(), false.into());
+        cache.insert(RecordKind::Shape, "shared-key".into(), true.into());
+        assert_eq!(
+            cache.lookup(RecordKind::Solver, "shared-key"),
+            Some(true.into())
+        );
+        assert_eq!(
+            cache.lookup(RecordKind::Inclusion, "shared-key"),
+            Some(false.into())
+        );
+        assert_eq!(
+            cache.lookup(RecordKind::Shape, "shared-key"),
+            Some(true.into())
+        );
         assert_eq!(cache.len(), 3);
     }
 
@@ -1605,13 +1224,16 @@ mod tests {
         cleanup(&path);
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
-            cache.insert_inclusion("incl|a".into(), true);
-            cache.insert("sat|b".into(), false);
+            cache.insert(RecordKind::Inclusion, "incl|a".into(), true.into());
+            cache.insert(RecordKind::Solver, "sat|b".into(), false.into());
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(warm.stats().disk_loaded, 2);
-        assert_eq!(warm.lookup_inclusion("incl|a"), Some(true));
-        assert_eq!(warm.lookup("sat|b"), Some(false));
+        assert_eq!(
+            warm.lookup(RecordKind::Inclusion, "incl|a"),
+            Some(true.into())
+        );
+        assert_eq!(warm.lookup(RecordKind::Solver, "sat|b"), Some(false.into()));
         cleanup(&path);
     }
 
@@ -1633,16 +1255,19 @@ mod tests {
         };
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
-            assert!(cache.lookup_minterms("mt|x").is_none());
-            cache.insert_minterms("mt|x".into(), set.clone());
-            assert!(cache.lookup_minterms("mt|x").is_some());
+            assert!(cache.lookup(RecordKind::Minterms, "mt|x").is_none());
+            cache.insert(RecordKind::Minterms, "mt|x".into(), set.clone().into());
+            assert!(cache.lookup(RecordKind::Minterms, "mt|x").is_some());
             let stats = cache.stats();
             assert_eq!((stats.minterm_hits, stats.minterm_misses), (1, 1));
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
         let replayed = warm
-            .lookup_minterms("mt|x")
+            .lookup(RecordKind::Minterms, "mt|x")
             .expect("minterm sets are persisted as M records");
+        let MemoValue::Minterms(replayed) = replayed else {
+            panic!("an M record replays as a minterm set, got {replayed:?}");
+        };
         assert_eq!(replayed.minterms, set.minterms);
         assert_eq!(replayed.uniform_literals, set.uniform_literals);
         assert_eq!(warm.stats().stale, 0);
@@ -1660,9 +1285,9 @@ mod tests {
         )
         .unwrap();
         let cache = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(cache.lookup("good"), Some(true));
+        assert_eq!(cache.lookup(RecordKind::Solver, "good"), Some(true.into()));
         assert!(
-            cache.lookup_minterms("mt|x").is_none(),
+            cache.lookup(RecordKind::Minterms, "mt|x").is_none(),
             "a torn payload must not produce a wrong alphabet"
         );
         assert_eq!(cache.stats().stale, 1);
@@ -1675,16 +1300,19 @@ mod tests {
         cleanup(&path);
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
-            assert!(cache.lookup_transition("tr|x").is_none());
-            cache.insert_transition("tr|x".into(), Sfa::Zero);
-            assert_eq!(cache.lookup_transition("tr|x"), Some(Sfa::Zero));
+            assert!(cache.lookup(RecordKind::Transition, "tr|x").is_none());
+            cache.insert(RecordKind::Transition, "tr|x".into(), Sfa::Zero.into());
+            assert_eq!(
+                cache.lookup(RecordKind::Transition, "tr|x"),
+                Some(Sfa::Zero.into())
+            );
             let stats = cache.stats();
             assert_eq!((stats.transition_hits, stats.transition_misses), (1, 1));
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(
-            warm.lookup_transition("tr|x"),
-            Some(Sfa::Zero),
+            warm.lookup(RecordKind::Transition, "tr|x"),
+            Some(Sfa::Zero.into()),
             "transitions are persisted as T segments since v6"
         );
         assert_eq!(warm.stats().disk_loaded, 1);
@@ -1696,31 +1324,11 @@ mod tests {
     }
 
     #[test]
-    fn mirror_path_transitions_are_logged_and_replayed() {
-        let path = temp_path("transition-mirror-log");
-        cleanup(&path);
-        {
-            let cache = MemoStore::with_disk_log(&path).unwrap();
-            // The mirror path logs without a shared-tier store; twice is harmless.
-            cache.log_transition("tr|m", &Sfa::Epsilon);
-            cache.log_transition("tr|m", &Sfa::Epsilon);
-        }
-        let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup_transition("tr|m"), Some(Sfa::Epsilon));
-        assert_eq!(
-            warm.stats().disk_loaded,
-            1,
-            "memtable dedup dropped the repeat"
-        );
-        cleanup(&path);
-    }
-
-    #[test]
     fn second_opener_degrades_to_in_memory_while_the_lock_is_held() {
         let path = temp_path("lock-contention");
         cleanup(&path);
         let first = MemoStore::with_disk_log(&path).unwrap();
-        first.insert("sat|k1".into(), true);
+        first.insert(RecordKind::Solver, "sat|k1".into(), true.into());
         first.flush();
         assert!(!first.degraded());
         // A second store on the same path (another process in real life) must not
@@ -1728,11 +1336,11 @@ mod tests {
         let second = MemoStore::with_disk_log(&path).unwrap();
         assert!(second.degraded(), "the lock is held by `first`");
         assert_eq!(
-            second.lookup("sat|k1"),
-            Some(true),
+            second.lookup(RecordKind::Solver, "sat|k1"),
+            Some(true.into()),
             "a degraded opener still warm-starts from the segments"
         );
-        second.insert("sat|k2".into(), false);
+        second.insert(RecordKind::Solver, "sat|k2".into(), false.into());
         second.flush();
         assert!(
             second.compact().is_err(),
@@ -1742,9 +1350,12 @@ mod tests {
         drop(first);
         let reopened = MemoStore::with_disk_log(&path).unwrap();
         assert!(!reopened.degraded(), "the lock is released on drop");
-        assert_eq!(reopened.lookup("sat|k1"), Some(true));
         assert_eq!(
-            reopened.lookup("sat|k2"),
+            reopened.lookup(RecordKind::Solver, "sat|k1"),
+            Some(true.into())
+        );
+        assert_eq!(
+            reopened.lookup(RecordKind::Solver, "sat|k2"),
             None,
             "the degraded store's inserts were memory-only"
         );
@@ -1760,10 +1371,10 @@ mod tests {
         let cache = MemoStore::with_disk_log(&path).unwrap();
         if Path::new("/proc").is_dir() {
             assert!(!cache.degraded(), "a dead holder's lock must be reclaimed");
-            cache.insert("sat|k".into(), true);
+            cache.insert(RecordKind::Solver, "sat|k".into(), true.into());
             drop(cache);
             let warm = MemoStore::with_disk_log(&path).unwrap();
-            assert_eq!(warm.lookup("sat|k"), Some(true));
+            assert_eq!(warm.lookup(RecordKind::Solver, "sat|k"), Some(true.into()));
         } else {
             // Without /proc, liveness cannot be probed: degrading is the safe answer.
             assert!(cache.degraded());
@@ -1778,7 +1389,7 @@ mod tests {
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
             for i in 0..10 {
-                cache.insert(format!("sat|k{i}"), true);
+                cache.insert(RecordKind::Solver, format!("sat|k{i}"), true.into());
             }
         }
         {
@@ -1787,7 +1398,7 @@ mod tests {
             // are fresh and logged again, duplicating each record across segments.
             let cache = MemoStore::with_disk_log(&path).unwrap();
             for i in 0..10 {
-                cache.insert(format!("sat|k{i}"), true);
+                cache.insert(RecordKind::Solver, format!("sat|k{i}"), true.into());
             }
         }
         let stats = MemoStore::inspect(&path).unwrap();
@@ -1800,16 +1411,22 @@ mod tests {
             assert!(report.records_before > report.records_after);
             assert!(report.bytes_after < report.bytes_before);
             // Inserts after the compaction pass land in fresh segments.
-            cache.insert("sat|fresh".into(), true);
+            cache.insert(RecordKind::Solver, "sat|fresh".into(), true.into());
         }
         let stats = MemoStore::inspect(&path).unwrap();
         assert_eq!((stats.duplicates, stats.malformed), (0, 0));
         assert_eq!(stats.live(), 11);
         let warm = MemoStore::with_disk_log(&path).unwrap();
         for i in 0..10 {
-            assert_eq!(warm.lookup(&format!("sat|k{i}")), Some(true));
+            assert_eq!(
+                warm.lookup(RecordKind::Solver, &format!("sat|k{i}")),
+                Some(true.into())
+            );
         }
-        assert_eq!(warm.lookup("sat|fresh"), Some(true));
+        assert_eq!(
+            warm.lookup(RecordKind::Solver, "sat|fresh"),
+            Some(true.into())
+        );
         cleanup(&path);
     }
 
@@ -1820,7 +1437,7 @@ mod tests {
         for _ in 0..2 {
             let cache = MemoStore::with_disk_log(&path).unwrap();
             for i in 0..AUTO_COMPACT_MIN_DEAD {
-                cache.insert(format!("sat|d{i}"), true);
+                cache.insert(RecordKind::Solver, format!("sat|d{i}"), true.into());
             }
         }
         // The third open replays 16 live + 16 duplicate records: over the 1-in-4
@@ -1833,7 +1450,7 @@ mod tests {
         );
         assert_eq!(stats.live(), AUTO_COMPACT_MIN_DEAD);
         let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup("sat|d0"), Some(true));
+        assert_eq!(warm.lookup(RecordKind::Solver, "sat|d0"), Some(true.into()));
         cleanup(&path);
     }
 
@@ -1843,7 +1460,7 @@ mod tests {
         cleanup(&path);
         for _ in 0..2 {
             let cache = MemoStore::with_disk_log(&path).unwrap();
-            cache.insert("sat|k1".into(), true);
+            cache.insert(RecordKind::Solver, "sat|k1".into(), true.into());
         }
         drop(MemoStore::with_disk_log(&path).unwrap());
         assert_eq!(
@@ -1861,8 +1478,9 @@ mod tests {
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
             for i in 0..3 {
-                cache.insert(format!("sat|p{i}"), true);
+                cache.insert(RecordKind::Solver, format!("sat|p{i}"), true.into());
             }
+            cache.insert(RecordKind::Transition, "tr|p".into(), Sfa::Epsilon.into());
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(warm.len(), 3);
@@ -1871,7 +1489,7 @@ mod tests {
             0,
             "replay is uncounted"
         );
-        assert_eq!(warm.lookup("sat|p0"), Some(true));
+        assert_eq!(warm.lookup(RecordKind::Solver, "sat|p0"), Some(true.into()));
         let after = warm.stats();
         assert_eq!(
             after.disk_lock_acquisitions, 2,
@@ -1883,8 +1501,27 @@ mod tests {
             "promotion moves records, never duplicates them"
         );
         // The promoted key is now served by the shared tier: disk locks stay flat.
-        assert_eq!(warm.lookup("sat|p0"), Some(true));
+        assert_eq!(warm.lookup(RecordKind::Solver, "sat|p0"), Some(true.into()));
         assert_eq!(warm.stats().disk_lock_acquisitions, 2);
+        // A transition takes the same path as a verdict.
+        assert_eq!(
+            warm.lookup(RecordKind::Transition, "tr|p"),
+            Some(Sfa::Epsilon.into())
+        );
+        assert_eq!(
+            warm.stats().disk_lock_acquisitions,
+            4,
+            "one read-through get plus one promotion evict"
+        );
+        assert_eq!(
+            warm.lookup(RecordKind::Transition, "tr|p"),
+            Some(Sfa::Epsilon.into())
+        );
+        assert_eq!(warm.stats().disk_lock_acquisitions, 4);
+        assert_eq!(
+            (warm.stats().transition_hits, warm.stats().transition_misses),
+            (2, 0)
+        );
         cleanup(&path);
     }
 
@@ -1893,8 +1530,8 @@ mod tests {
         let path = temp_path("inspect-live");
         cleanup(&path);
         let cache = MemoStore::with_disk_log(&path).unwrap();
-        cache.insert("sat|a".into(), true);
-        cache.insert_transition("tr|b".into(), Sfa::Zero);
+        cache.insert(RecordKind::Solver, "sat|a".into(), true.into());
+        cache.insert(RecordKind::Transition, "tr|b".into(), Sfa::Zero.into());
         cache.flush();
         // The store is alive and holds the writer lock; inspection must neither
         // block, nor degrade anything, nor touch the lock.
@@ -1917,7 +1554,7 @@ mod tests {
         cleanup(&path);
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
-            cache.insert("sat|solo".into(), true);
+            cache.insert(RecordKind::Solver, "sat|solo".into(), true.into());
         }
         // Simulate a crash that mangled the segment after the manifest named it.
         let (state, _) = lsm::read_manifest(&path).unwrap().expect("v6 manifest");
@@ -1927,16 +1564,19 @@ mod tests {
         {
             let warm = MemoStore::with_disk_log(&path).unwrap();
             assert_eq!(
-                warm.lookup("sat|solo"),
+                warm.lookup(RecordKind::Solver, "sat|solo"),
                 None,
                 "a torn segment is cold, never half-trusted"
             );
             assert_eq!(warm.stats().stale, 1, "the torn segment's record is stale");
             assert!(!warm.degraded());
-            warm.insert("sat|recovered".into(), true);
+            warm.insert(RecordKind::Solver, "sat|recovered".into(), true.into());
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup("sat|recovered"), Some(true));
+        assert_eq!(
+            warm.lookup(RecordKind::Solver, "sat|recovered"),
+            Some(true.into())
+        );
         cleanup(&path);
     }
 

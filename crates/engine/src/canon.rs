@@ -569,6 +569,17 @@ pub enum CanonicalMemoKey {
 }
 
 impl CanonicalMemoKey {
+    /// The stable textual key, before any axiom prefix.
+    pub(crate) fn key(&self) -> &str {
+        match self {
+            CanonicalMemoKey::Minterms(alphabet) => &alphabet.key,
+            CanonicalMemoKey::Transition(transition) => &transition.key,
+            CanonicalMemoKey::Inclusion(key)
+            | CanonicalMemoKey::Shape(key)
+            | CanonicalMemoKey::Subsumption(key) => key,
+        }
+    }
+
     /// Whether verdicts under this key depend on the background axiom set (and the key
     /// must therefore be prefixed with an axiom fingerprint before use in a store shared
     /// across benchmarks).

@@ -24,7 +24,8 @@
 //! Each key is served by a three-level tier stack ([`tier`]), instantiated once per
 //! record kind in the [`MemoStore`]: a worker-local lock-free map (read-through, hits
 //! promoted on the way back — this is what keeps shard-lock traffic flat under
-//! `--jobs N`), the shared sharded map, and the disk log.
+//! `--jobs N`), the shared sharded map, and the disk tier replayed from the segment
+//! store. All six record kinds take this one path, with one [`MemoValue`] type.
 //!
 //! ## Memo hierarchy
 //!
@@ -47,18 +48,19 @@
 //! records, so compaction never blocks a reader or a scheduler worker. The record
 //! grammar, single-writer locking, crash-consistency and migration rules are
 //! specified in `docs/CACHE_FORMAT.md` and summarised in [`cache`] and [`lsm`]. The
-//! next run replays manifest + segments into memory and starts warm; `v1`–`v5` logs
-//! are migrated atomically on first open, files from any other format version are
-//! ignored wholesale and counted as stale, and a store crowded with dead records is
-//! compacted — automatically past a threshold at open, or explicitly via
+//! next run replays manifest + segments into memory and starts warm; a `v5` log is
+//! migrated atomically on first open, files from any other format version (older or
+//! newer) are ignored wholesale and counted as stale, and a store crowded with dead
+//! records is compacted — automatically past a threshold at open, or explicitly via
 //! [`MemoStore::compact`] / `marple cache compact`.
 //!
 //! ## Scheduler
 //!
 //! [`Engine::check_benchmarks`] flattens the benchmark suite into (benchmark, method)
-//! jobs, drains them from an atomic work-queue with `jobs` worker threads (each with its
-//! own solver and local tier, all with the shared store), and reassembles reports into
-//! input order — so output is deterministic regardless of which worker finishes first.
+//! jobs, queues them per submission and drains the queues round-robin with `jobs`
+//! worker threads (each with its own solver and local tier, all with the shared store),
+//! and reassembles reports into input order — so output is deterministic regardless of
+//! which worker finishes first.
 //!
 //! ```
 //! use hat_engine::{Engine, EngineConfig};
@@ -79,7 +81,7 @@ pub mod tier;
 
 pub use cache::{
     addr_path_for, CacheFileStats, CacheStatsSnapshot, CompactionReport, LockHolder, MemoStore,
-    QueryCache, RecordKind,
+    MemoValue, RecordKind,
 };
 pub use canon::{canonicalize, memo_key, CanonicalMemoKey, CanonicalQuery};
 pub use lsm::{LsmConfig, LsmStatsSnapshot, ManifestState, SegmentMeta};
@@ -87,4 +89,4 @@ pub use oracle::CachingOracle;
 pub use schedule::{
     BenchmarkRun, Engine, EngineConfig, JobReport, PollReport, RunHandle, RunSummary,
 };
-pub use tier::{DiskTier, LocalTier, MemoTier, SharedTier};
+pub use tier::{DiskTier, LocalTier, SharedTier};

@@ -170,20 +170,8 @@ impl ManifestState {
     }
 }
 
-fn kind_of_tag(tag: &str) -> Option<RecordKind> {
-    match tag {
-        "S" => Some(RecordKind::Solver),
-        "I" => Some(RecordKind::Inclusion),
-        "D" => Some(RecordKind::Shape),
-        "M" => Some(RecordKind::Minterms),
-        "T" => Some(RecordKind::Transition),
-        "U" => Some(RecordKind::Subsumption),
-        _ => None,
-    }
-}
-
 /// Parses the manifest at `path`. Returns `Ok(None)` when the file's header is not the
-/// v6 manifest header (a v1–v5 log, a foreign version, or not a cache file at all —
+/// v6 manifest header (a v5 log, a foreign version, or not a cache file at all —
 /// the caller dispatches). Malformed body lines are skipped and counted, never trusted:
 /// a segment the manifest fails to name cleanly is simply invisible (cold), which can
 /// lose cache entries but never corrupt verdicts.
@@ -211,7 +199,7 @@ pub fn read_manifest(path: &Path) -> std::io::Result<Option<(ManifestState, usiz
             },
             Some("seg") => {
                 let parsed = (|| {
-                    let kind = kind_of_tag(fields.next()?)?;
+                    let kind = RecordKind::from_tag(fields.next()?)?;
                     let partition: u8 = fields.next()?.parse().ok()?;
                     let level: u32 = fields.next()?.parse().ok()?;
                     let seq: u64 = fields.next()?.parse().ok()?;
@@ -301,7 +289,7 @@ pub fn read_segment(dir: &Path, meta: &SegmentMeta) -> SegmentScan {
         Some(Ok(header)) => {
             let mut fields = header.split('\t');
             fields.next() == Some(SEGMENT_HEADER_V6)
-                && fields.next().and_then(kind_of_tag) == Some(meta.kind)
+                && fields.next().and_then(RecordKind::from_tag) == Some(meta.kind)
                 && fields.next().and_then(|n| n.parse::<usize>().ok()) == Some(meta.records)
                 && fields.next().is_none()
         }
@@ -331,7 +319,7 @@ pub fn read_segment(dir: &Path, meta: &SegmentMeta) -> SegmentScan {
 
 /// Writes one segment file (already grouped, deduplicated and sorted) via a temporary
 /// file, `sync_all` and an atomic rename, and returns its manifest entry. Crate-visible
-/// so the store's v1–v5 migration can emit the initial level-0 segments directly.
+/// so the store's v5 migration can emit the initial level-0 segments directly.
 pub(crate) fn write_segment(
     dir: &Path,
     kind: RecordKind,
@@ -398,7 +386,9 @@ fn future_kind_segment(name: &str) -> bool {
         return false;
     };
     let mut parts = stem.split('-');
-    let unknown_tag = parts.next().is_some_and(|tag| kind_of_tag(tag).is_none());
+    let unknown_tag = parts
+        .next()
+        .is_some_and(|tag| RecordKind::from_tag(tag).is_none());
     unknown_tag
         && parts.next().is_some_and(|p| p.starts_with('p'))
         && parts.next().is_some_and(|l| l.starts_with('L'))

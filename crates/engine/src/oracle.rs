@@ -8,20 +8,20 @@
 //! the shared sharded tier of the [`MemoStore`], promoting shared hits into the local
 //! tier on the way back so the next lookup of the same key touches no lock. The whole
 //! memo hierarchy above the solver cache — minterm sets, inclusion verdicts, DFA shapes,
-//! transitions — flows through the same composition via the single typed
-//! [`SolverOracle::memo_lookup`]/[`SolverOracle::memo_store`] interface, keyed by
-//! [`crate::canon::memo_key`].
+//! transitions, subsumption verdicts — flows through the same two methods via the
+//! single typed [`SolverOracle::memo_lookup`]/[`SolverOracle::memo_store`] interface,
+//! keyed by [`crate::canon::memo_key`].
 //!
 //! On a miss the *canonical* form is handed to the worker's own [`Solver`], so the
 //! verdict depends only on the cache key; this is what makes cached parallel runs
 //! produce exactly the verdicts of a sequential run — and what makes read-through
 //! caching trivially coherent: a value can never be stale, only absent.
 
-use crate::cache::{MemoStore, RecordKind};
+use crate::cache::{MemoStore, MemoValue, RecordKind};
 use crate::canon::{axioms_fingerprint, canonicalize, memo_key, CanonicalMemoKey};
-use crate::tier::{LocalMap, LocalTier};
+use crate::tier::LocalTier;
 use hat_logic::{Atom, AxiomSet, Formula, Ident, ScopedSession, Solver, Sort};
-use hat_sfa::{MemoAnswer, MemoKind, MemoQuery, MintermSet, Sfa, SolverOracle};
+use hat_sfa::{MemoAnswer, MemoKind, MemoQuery, SolverOracle};
 use std::borrow::Cow;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -41,15 +41,12 @@ pub struct CachingOracle {
     /// key: a verdict depends on the axioms instantiated into the query, and the store
     /// is shared across oracles with *different* axiom sets (one per benchmark).
     key_prefix: String,
-    /// The canonicalisation computed by the last memo-lookup miss of each kind. Every
-    /// store is paired with a preceding miss for the same query, so the store reuses
-    /// these instead of re-canonicalising; the `unwrap_or_else` fallbacks only fire if
-    /// that pairing is ever broken by an unexpected call sequence.
-    pending_minterms: Option<(String, crate::canon::AlphabetKey)>,
-    pending_inclusion: Option<String>,
-    pending_shape: Option<String>,
-    pending_subsumption: Option<String>,
-    pending_transition: Option<(String, crate::canon::TransitionKey)>,
+    /// The store key and canonicalisation computed by the last memo-lookup miss of each
+    /// kind (indexed by `kind as usize`). Every store is paired with a preceding miss
+    /// for the same query, so the store reuses these instead of re-canonicalising; the
+    /// fallback only fires if that pairing is ever broken by an unexpected call
+    /// sequence.
+    pending: [Option<(String, CanonicalMemoKey)>; 6],
     queries: usize,
     hits: usize,
     misses: usize,
@@ -82,11 +79,7 @@ impl CachingOracle {
             store,
             local: None,
             key_prefix,
-            pending_minterms: None,
-            pending_inclusion: None,
-            pending_shape: None,
-            pending_subsumption: None,
-            pending_transition: None,
+            pending: Default::default(),
             queries: 0,
             hits: 0,
             misses: 0,
@@ -109,100 +102,45 @@ impl CachingOracle {
         &self.store
     }
 
-    /// Read-through lookup of one boolean kind: local tier (lock-free), then shared
-    /// tier (one shard lock), promoting shared hits into the local tier.
-    fn tier_lookup_bool(&mut self, kind: RecordKind, key: &str) -> Option<bool> {
+    /// Read-through lookup: local tier (lock-free), then the store's shared tier (one
+    /// shard lock) and disk tier, promoting a store hit into the local tier.
+    fn read_through(&mut self, kind: RecordKind, key: &str) -> Option<MemoValue> {
         if let Some(local) = &self.local {
-            if let Some(v) = Self::local_bools(local, kind).get_str(key) {
+            if let Some(value) = local.get(kind, key) {
                 self.store.note_local_hit(kind);
-                return Some(v);
+                return Some(value);
             }
         }
         self.shared_locks += 1;
-        let found = self.store.lookup_bool(kind, key);
-        if let (Some(v), Some(local)) = (found, &self.local) {
-            Self::local_bools(local, kind).put_owned(key.to_string(), v);
+        let found = self.store.lookup(kind, key);
+        if let (Some(value), Some(local)) = (&found, &self.local) {
+            local.put(kind, key.to_string(), value.clone());
         }
         found
     }
 
-    /// Write-through store of one boolean kind: local tier first (the worker will ask
-    /// again), then the shared tier (which appends to the disk tier when fresh).
-    fn tier_store_bool(&mut self, kind: RecordKind, key: String, verdict: bool) {
+    /// Write-through store: local tier first (the worker will ask again), then the
+    /// store's shared tier (which logs the record to disk when fresh).
+    fn write_through(&mut self, kind: RecordKind, key: String, value: MemoValue) {
         if let Some(local) = &self.local {
-            Self::local_bools(local, kind).put_owned(key.clone(), verdict);
+            local.put(kind, key.clone(), value.clone());
         }
         self.shared_locks += 1;
-        self.store.insert_bool(kind, key, verdict);
+        self.store.insert(kind, key, value);
     }
 
-    fn local_bools(local: &LocalTier, kind: RecordKind) -> &LocalMap<bool> {
-        match kind {
-            RecordKind::Solver => &local.solver,
-            RecordKind::Inclusion => &local.inclusion,
-            RecordKind::Shape => &local.shape,
-            RecordKind::Subsumption => &local.subsumption,
-            RecordKind::Minterms | RecordKind::Transition => {
-                unreachable!("{kind:?} is not a boolean record kind")
-            }
+    /// The store key of a canonical memo key. Axiom-dependent kinds (minterm sets,
+    /// inclusion verdicts) carry this oracle's axiom prefix; shapes, subsumption
+    /// verdicts and transitions are pure syntactic functions of data inside the key, so
+    /// α-equal ones are shared across benchmarks with different axiom sets (the checker
+    /// refuses to store a shape or subsumption verdict if a context-dependent SMT
+    /// fallback ever fired).
+    fn store_key<'k>(&self, canonical: &'k CanonicalMemoKey) -> Cow<'k, str> {
+        if canonical.axiom_dependent() {
+            Cow::Owned(format!("{}{}", self.key_prefix, canonical.key()))
+        } else {
+            Cow::Borrowed(canonical.key())
         }
-    }
-
-    fn tier_lookup_minterms(&mut self, key: &str) -> Option<MintermSet> {
-        if let Some(local) = &self.local {
-            if let Some(set) = local.minterms.get_str(key) {
-                self.store.note_local_hit(RecordKind::Minterms);
-                return Some(set);
-            }
-        }
-        self.shared_locks += 1;
-        let found = self.store.lookup_minterms(key);
-        if let (Some(set), Some(local)) = (&found, &self.local) {
-            local.minterms.put_owned(key.to_string(), set.clone());
-        }
-        found
-    }
-
-    fn tier_store_minterms(&mut self, key: String, set: MintermSet) {
-        if let Some(local) = &self.local {
-            local.minterms.put_owned(key.clone(), set.clone());
-        }
-        self.shared_locks += 1;
-        self.store.insert_minterms(key, set);
-    }
-
-    /// Transitions use the [`ShardMirror`](crate::tier::ShardMirror) policy instead of
-    /// per-key read-through: they are the hottest kind, so whole-shard syncs plus
-    /// write-behind insert batches replace almost every per-key shared-tier round-trip.
-    /// Since cache v6 they are persisted too — the store path logs inside
-    /// `insert_transition`, and the mirror path (which bypasses the store) logs through
-    /// [`MemoStore::log_transition`] below.
-    fn tier_lookup_transition(&mut self, key: &str) -> Option<Sfa> {
-        if let Some(local) = &self.local {
-            let (found, locks) = local
-                .transitions
-                .get_or_sync(self.store.transition_tier(), key);
-            self.shared_locks += locks;
-            self.store
-                .note_local(RecordKind::Transition, found.is_some());
-            return found;
-        }
-        self.shared_locks += 1;
-        self.store.lookup_transition(key)
-    }
-
-    fn tier_store_transition(&mut self, key: String, succ: Sfa) {
-        if let Some(local) = &self.local {
-            // The mirror cannot tell a fresh derivation from a repeat, so this logs
-            // unconditionally; the memtable and compaction drop the duplicates.
-            self.store.log_transition(&key, &succ);
-            self.shared_locks += local
-                .transitions
-                .put(self.store.transition_tier(), key, succ);
-            return;
-        }
-        self.shared_locks += 1;
-        self.store.insert_transition(key, succ);
     }
 
     /// Answers a satisfiability query through the tiers, solving the canonical form on a
@@ -217,7 +155,7 @@ impl CachingOracle {
         }
         let canonical = canonicalize(vars, f);
         let key = format!("{}{}", self.key_prefix, canonical.key);
-        if let Some(verdict) = self.tier_lookup_bool(RecordKind::Solver, &key) {
+        if let Some(MemoValue::Verdict(verdict)) = self.read_through(RecordKind::Solver, &key) {
             self.hits += 1;
             return verdict;
         }
@@ -225,19 +163,49 @@ impl CachingOracle {
         let verdict = self
             .solver
             .is_satisfiable(&canonical.vars, &canonical.formula);
-        self.tier_store_bool(RecordKind::Solver, key, verdict);
+        self.write_through(RecordKind::Solver, key, verdict.into());
         verdict
     }
 }
 
-impl Drop for CachingOracle {
-    fn drop(&mut self) {
-        // Safety net: the checker flushes via `flush_memos` before harvesting stats,
-        // so this is a no-op (0 locks) unless an oracle is dropped mid-check.
-        if let Some(local) = &self.local {
-            local.transitions.flush(self.store.transition_tier());
+/// Transports a stored canonical value back into the names of the query that asked;
+/// `None` for a (kind, value) mismatch.
+fn from_canonical(canonical: &CanonicalMemoKey, value: MemoValue) -> Option<MemoAnswer<'static>> {
+    Some(match (canonical, value) {
+        (CanonicalMemoKey::Minterms(alphabet), MemoValue::Minterms(set)) => {
+            MemoAnswer::Minterms(Cow::Owned(alphabet.from_canonical(&set)))
         }
-    }
+        (CanonicalMemoKey::Transition(tk), MemoValue::Transition(succ)) => {
+            MemoAnswer::Transition(Cow::Owned(tk.from_canonical(&succ)))
+        }
+        (
+            CanonicalMemoKey::Inclusion(_)
+            | CanonicalMemoKey::Shape(_)
+            | CanonicalMemoKey::Subsumption(_),
+            MemoValue::Verdict(verdict),
+        ) => MemoAnswer::Verdict(verdict),
+        _ => return None,
+    })
+}
+
+/// Transports a computed answer into the canonical names it is stored under; `None`
+/// for a (kind, answer) mismatch.
+fn to_canonical(canonical: &CanonicalMemoKey, answer: &MemoAnswer) -> Option<MemoValue> {
+    Some(match (canonical, answer) {
+        (CanonicalMemoKey::Minterms(alphabet), MemoAnswer::Minterms(set)) => {
+            alphabet.to_canonical(set).into()
+        }
+        (CanonicalMemoKey::Transition(tk), MemoAnswer::Transition(succ)) => {
+            tk.to_canonical(succ).into()
+        }
+        (
+            CanonicalMemoKey::Inclusion(_)
+            | CanonicalMemoKey::Shape(_)
+            | CanonicalMemoKey::Subsumption(_),
+            MemoAnswer::Verdict(verdict),
+        ) => MemoValue::Verdict(*verdict),
+        _ => return None,
+    })
 }
 
 impl SolverOracle for CachingOracle {
@@ -279,16 +247,6 @@ impl SolverOracle for CachingOracle {
         self.shared_locks
     }
 
-    fn flush_memos(&mut self) {
-        // Publish the write-behind transition batch at the job boundary, so workers
-        // picking up the next method see everything this method derived — and count
-        // the flush's locks against this oracle, keeping the per-method
-        // `shared_tier_locks` sums reconcilable with the store-level counter.
-        if let Some(local) = &self.local {
-            self.shared_locks += local.transitions.flush(self.store.transition_tier());
-        }
-    }
-
     fn scoped_session<'a>(
         &'a mut self,
         vars: &[(Ident, Sort)],
@@ -306,115 +264,29 @@ impl SolverOracle for CachingOracle {
     }
 
     fn memo_lookup(&mut self, query: &MemoQuery) -> Option<MemoAnswer<'static>> {
-        match memo_key(query) {
-            CanonicalMemoKey::Minterms(alphabet) => {
-                let key = format!("{}{}", self.key_prefix, alphabet.key);
-                let found = self
-                    .tier_lookup_minterms(&key)
-                    .map(|stored| alphabet.from_canonical(&stored));
-                self.pending_minterms = if found.is_none() {
-                    Some((key, alphabet))
-                } else {
-                    None
-                };
-                found.map(|set| MemoAnswer::Minterms(Cow::Owned(set)))
-            }
-            CanonicalMemoKey::Inclusion(key) => {
-                let key = format!("{}{key}", self.key_prefix);
-                let found = self.tier_lookup_bool(RecordKind::Inclusion, &key);
-                self.pending_inclusion = found.is_none().then_some(key);
-                found.map(MemoAnswer::Verdict)
-            }
-            CanonicalMemoKey::Shape(key) => {
-                // No axiom prefix: like a transition, a per-group product walk is a pure
-                // syntactic function of the automaton pair and its minterm alphabet
-                // (every transition is resolved propositionally from data in the key),
-                // so α-equal shapes share one verdict across benchmarks with different
-                // axiom sets. The checker refuses to store if a context-dependent SMT
-                // fallback ever fired.
-                let found = self.tier_lookup_bool(RecordKind::Shape, &key);
-                self.pending_shape = found.is_none().then_some(key);
-                found.map(MemoAnswer::Verdict)
-            }
-            CanonicalMemoKey::Subsumption(key) => {
-                // No axiom prefix: like a shape, a simulation verdict is a semantic
-                // fact about the residual pair and its minterm alphabet (the fixpoint
-                // only chases rows resolved propositionally from data in the key), so
-                // it is shared across benchmarks with different axiom sets. The checker
-                // refuses to store if a context-dependent SMT fallback ever fired.
-                let found = self.tier_lookup_bool(RecordKind::Subsumption, &key);
-                self.pending_subsumption = found.is_none().then_some(key);
-                found.map(MemoAnswer::Verdict)
-            }
-            CanonicalMemoKey::Transition(tk) => {
-                // No axiom prefix: the successor is a pure syntactic function of the
-                // state and the signed answers (which the key contains).
-                let found = self
-                    .tier_lookup_transition(&tk.key)
-                    .map(|stored| tk.from_canonical(&stored));
-                self.pending_transition = if found.is_none() {
-                    let key = tk.key.clone();
-                    Some((key, tk))
-                } else {
-                    None
-                };
-                found.map(|succ| MemoAnswer::Transition(Cow::Owned(succ)))
-            }
-        }
+        let kind = RecordKind::from(query.kind());
+        let canonical = memo_key(query);
+        let key = self.store_key(&canonical);
+        let found = self
+            .read_through(kind, &key)
+            .and_then(|value| from_canonical(&canonical, value));
+        self.pending[kind as usize] = match found {
+            Some(_) => None,
+            None => Some((key.into_owned(), canonical)),
+        };
+        found
     }
 
     fn memo_store(&mut self, query: &MemoQuery, answer: &MemoAnswer) {
-        // Each arm reuses the canonicalisation left behind by the paired lookup miss,
-        // recomputing only if the pairing was broken by an unexpected call sequence.
-        match (query.kind(), answer) {
-            (MemoKind::Minterms, MemoAnswer::Minterms(set)) => {
-                let (key, alphabet) = self.pending_minterms.take().unwrap_or_else(|| {
-                    let CanonicalMemoKey::Minterms(alphabet) = memo_key(query) else {
-                        unreachable!("kind() matches the query shape")
-                    };
-                    (format!("{}{}", self.key_prefix, alphabet.key), alphabet)
-                });
-                self.tier_store_minterms(key, alphabet.to_canonical(set));
-            }
-            (MemoKind::Inclusion, MemoAnswer::Verdict(verdict)) => {
-                let key = self.pending_inclusion.take().unwrap_or_else(|| {
-                    let CanonicalMemoKey::Inclusion(key) = memo_key(query) else {
-                        unreachable!("kind() matches the query shape")
-                    };
-                    format!("{}{key}", self.key_prefix)
-                });
-                self.tier_store_bool(RecordKind::Inclusion, key, *verdict);
-            }
-            (MemoKind::Shape, MemoAnswer::Verdict(verdict)) => {
-                let key = self.pending_shape.take().unwrap_or_else(|| {
-                    let CanonicalMemoKey::Shape(key) = memo_key(query) else {
-                        unreachable!("kind() matches the query shape")
-                    };
-                    key
-                });
-                self.tier_store_bool(RecordKind::Shape, key, *verdict);
-            }
-            (MemoKind::Subsumption, MemoAnswer::Verdict(verdict)) => {
-                let key = self.pending_subsumption.take().unwrap_or_else(|| {
-                    let CanonicalMemoKey::Subsumption(key) = memo_key(query) else {
-                        unreachable!("kind() matches the query shape")
-                    };
-                    key
-                });
-                self.tier_store_bool(RecordKind::Subsumption, key, *verdict);
-            }
-            (MemoKind::Transition, MemoAnswer::Transition(succ)) => {
-                let (key, tk) = self.pending_transition.take().unwrap_or_else(|| {
-                    let CanonicalMemoKey::Transition(tk) = memo_key(query) else {
-                        unreachable!("kind() matches the query shape")
-                    };
-                    (tk.key.clone(), tk)
-                });
-                self.tier_store_transition(key, tk.to_canonical(succ));
-            }
-            // A mismatched (kind, answer) pair is a caller bug; storing nothing is the
-            // safe response (the memo is an accelerator, not a source of truth).
-            _ => {}
+        let kind = RecordKind::from(query.kind());
+        let (key, canonical) = self.pending[kind as usize].take().unwrap_or_else(|| {
+            let canonical = memo_key(query);
+            (self.store_key(&canonical).into_owned(), canonical)
+        });
+        // A mismatched (kind, answer) pair is a caller bug; storing nothing is the safe
+        // response (the memo is an accelerator, not a source of truth).
+        if let Some(value) = to_canonical(&canonical, answer) {
+            self.write_through(kind, key, value);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The tiers of the memo hierarchy.
 //!
 //! Every record kind of the [`crate::cache::MemoStore`] — solver verdicts, inclusion
-//! verdicts, DFA shapes, minterm sets, transitions — is served by the same three-level
-//! tier stack, instantiated once per kind:
+//! verdicts, DFA shapes, minterm sets, transitions, subsumption verdicts — is served by
+//! the same three-level tier stack, instantiated once per kind:
 //!
 //! 1. a **local tier** ([`LocalMap`], grouped per worker in [`LocalTier`]): a plain
 //!    lock-free hash map owned by one scheduler worker. Lookups and promotions touch no
@@ -18,40 +18,21 @@
 //!    LSM memtable, which flushes and compacts on a background thread that takes no
 //!    tier locks at all.
 //!
-//! The read-through composition (probe local → fall through to shared → promote the hit
-//! into local) lives in [`crate::oracle::CachingOracle`]; this module provides the tiers
-//! themselves behind the common [`MemoTier`] interface.
+//! The read-through composition (probe local → fall through to shared and disk →
+//! promote the hit into local) lives in [`crate::oracle::CachingOracle`] and
+//! [`crate::cache::MemoStore::lookup`]; this module provides the tiers themselves.
 //!
 //! Correctness of read-through caching rests on the same invariant as the rest of the
 //! cache: every value is a **pure function of its canonical key**, so a stale local copy
 //! cannot exist — two tiers can only ever disagree by one not yet holding a key.
 
-use hat_sfa::MintermSet;
-use hat_sfa::Sfa;
+use crate::cache::{MemoValue, RecordKind};
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::RwLock;
-
-/// One tier of the memo hierarchy for a single record kind: a map from α-canonical keys
-/// `K` (always the `String` keys of [`crate::canon`] in this crate) to memoised values
-/// `V`. Implementations differ in sharing and cost, not in semantics — values are pure
-/// functions of their keys, so any tier may answer.
-pub trait MemoTier<K, V> {
-    /// Looks a key up, cloning the stored value out.
-    fn get(&self, key: &K) -> Option<V>;
-    /// Stores a value, returning `true` when the key was not present before. Racing
-    /// stores of one key are harmless (both write the same pure-function-of-key value).
-    fn put(&self, key: K, value: V) -> bool;
-    /// Number of entries in this tier.
-    fn len(&self) -> usize;
-    /// Whether this tier holds no entries.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// A worker-local lock-free tier for one record kind.
 ///
@@ -60,13 +41,13 @@ pub trait MemoTier<K, V> {
 /// `Rc`, without threading mutable borrows through the checker stack.
 ///
 /// ```
-/// use hat_engine::tier::{LocalMap, MemoTier};
+/// use hat_engine::tier::LocalMap;
 ///
 /// let tier: LocalMap<bool> = LocalMap::default();
-/// assert_eq!(tier.get(&"k".to_string()), None);
+/// assert_eq!(tier.get("k"), None);
 /// assert!(tier.put("k".into(), true));
 /// assert!(!tier.put("k".into(), true), "second put is not fresh");
-/// assert_eq!(tier.get(&"k".to_string()), Some(true));
+/// assert_eq!(tier.get("k"), Some(true));
 /// ```
 #[derive(Debug)]
 pub struct LocalMap<V> {
@@ -83,130 +64,83 @@ impl<V> Default for LocalMap<V> {
 
 impl<V: Clone> LocalMap<V> {
     /// Looks a key up without any locking.
-    pub fn get_str(&self, key: &str) -> Option<V> {
+    pub fn get(&self, key: &str) -> Option<V> {
         self.map.borrow().get(key).cloned()
     }
 
     /// Stores a value without any locking; `true` when the key is new.
-    pub fn put_owned(&self, key: String, value: V) -> bool {
+    pub fn put(&self, key: String, value: V) -> bool {
         self.map.borrow_mut().insert(key, value).is_none()
     }
 }
 
-impl<V: Clone> MemoTier<String, V> for LocalMap<V> {
-    fn get(&self, key: &String) -> Option<V> {
-        self.get_str(key)
-    }
-
-    fn put(&self, key: String, value: V) -> bool {
-        self.put_owned(key, value)
-    }
-
-    fn len(&self) -> usize {
-        self.map.borrow().len()
-    }
-}
-
-/// One worker's local tier set: one [`LocalMap`] (or [`ShardMirror`]) per record kind,
-/// shared by every oracle the worker creates (via `Rc`). Dropping it at the end of the
-/// worker's job stream discards the promotions — the shared tier remains the source of
-/// truth.
-///
-/// Transitions get the [`ShardMirror`] policy instead of plain per-key promotion: they
-/// are by far the hottest kind, each one is cheap to re-derive (propositional), and the
-/// kind is never persisted — so trading per-key shared lookups for occasional whole-
-/// shard syncs and write-behind insert batches is a pure lock-traffic win.
+/// One worker's local tier set: one [`LocalMap`] per record kind, shared by every oracle
+/// the worker creates (via `Rc`). Dropping it at the end of the worker's job stream
+/// discards the promotions — the shared tier remains the source of truth.
 #[derive(Debug, Default)]
 pub struct LocalTier {
-    /// Solver verdicts (`S` records).
-    pub solver: LocalMap<bool>,
-    /// Inclusion verdicts (`I` records).
-    pub inclusion: LocalMap<bool>,
-    /// DFA-shape verdicts (`D` records).
-    pub shape: LocalMap<bool>,
-    /// Simulation-subsumption verdicts (`U` records).
-    pub subsumption: LocalMap<bool>,
-    /// Minterm sets (`M` records).
-    pub minterms: LocalMap<MintermSet>,
-    /// DFA transitions (in-memory kind).
-    pub transitions: ShardMirror<Sfa>,
+    maps: [LocalMap<MemoValue>; 6],
 }
 
-/// Default shard count of a [`SharedTier`].
-const SHARDS: usize = 64;
+impl LocalTier {
+    /// Looks a record of `kind` up without any locking.
+    pub(crate) fn get(&self, kind: RecordKind, key: &str) -> Option<MemoValue> {
+        self.maps[kind as usize].get(key)
+    }
 
-/// One shard: its map plus a lock-free version counter bumped on every write, so mirror
-/// replicas can tell "nothing new here" without taking the lock.
-#[derive(Debug)]
-struct Shard<V> {
-    map: RwLock<HashMap<String, V>>,
-    version: AtomicUsize,
-}
-
-impl<V> Default for Shard<V> {
-    fn default() -> Self {
-        Shard {
-            map: RwLock::new(HashMap::new()),
-            version: AtomicUsize::new(0),
-        }
+    /// Stores a record of `kind` without any locking; `true` when the key is new.
+    pub(crate) fn put(&self, kind: RecordKind, key: String, value: MemoValue) -> bool {
+        self.maps[kind as usize].put(key, value)
     }
 }
 
-/// The shared sharded tier for one record kind: independently locked hash maps (64 by
-/// default, configurable per kind), plus a relaxed counter of every shard-lock
-/// acquisition (reads and writes alike) so the traffic the local tiers absorb is
-/// visible in statistics.
+/// Shard count of a [`SharedTier`].
+const SHARDS: usize = 64;
+
+/// The shared sharded tier for one record kind: 64 independently locked hash maps,
+/// plus a relaxed counter of every shard-lock acquisition (reads and writes alike) so
+/// the traffic the local tiers absorb is visible in statistics.
 #[derive(Debug)]
 pub struct SharedTier<V> {
-    shards: Vec<Shard<V>>,
+    shards: Vec<RwLock<HashMap<String, V>>>,
     locks: AtomicUsize,
 }
 
 impl<V> Default for SharedTier<V> {
     fn default() -> Self {
-        Self::with_shards(SHARDS)
+        SharedTier {
+            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
+            locks: AtomicUsize::new(0),
+        }
     }
 }
 
 impl<V> SharedTier<V> {
-    /// A tier with a custom shard count. Few coarse shards suit kinds whose shared-tier
-    /// traffic is rare but batched (like the transition mirror's flushes: one lock per
-    /// distinct shard per batch); many fine shards suit kinds hit per key.
-    pub fn with_shards(shards: usize) -> Self {
-        SharedTier {
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
-            locks: AtomicUsize::new(0),
-        }
-    }
-
-    fn shard_index(&self, key: &str) -> usize {
+    fn shard(&self, key: &str) -> &RwLock<HashMap<String, V>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The write-version of one shard (lock-free read).
-    fn shard_version(&self, shard: usize) -> usize {
-        self.shards[shard].version.load(Ordering::Acquire)
+        &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
     /// Total shard-lock acquisitions since construction.
     pub fn lock_acquisitions(&self) -> usize {
         self.locks.load(Ordering::Relaxed)
     }
+
+    /// Number of entries across every shard (uncounted, like replay).
+    pub(crate) fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.read().expect("shared tier shard poisoned").len())
+            .sum()
+    }
 }
 
 impl<V: Clone> SharedTier<V> {
     /// Looks a key up (one read-lock acquisition).
-    pub fn get_str(&self, key: &str) -> Option<V> {
+    pub fn get(&self, key: &str) -> Option<V> {
         self.locks.fetch_add(1, Ordering::Relaxed);
-        self.shards[self.shard_index(key)]
-            .map
+        self.shard(key)
             .read()
             .expect("shared tier shard poisoned")
             .get(key)
@@ -214,76 +148,31 @@ impl<V: Clone> SharedTier<V> {
     }
 
     /// Stores a value (one write-lock acquisition); `true` when the key is new.
-    pub fn put_owned(&self, key: String, value: V) -> bool {
+    pub fn put(&self, key: String, value: V) -> bool {
         self.locks.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_index(&key)];
-        let fresh = shard
-            .map
-            .write()
-            .expect("shared tier shard poisoned")
-            .insert(key, value)
-            .is_none();
-        shard.version.fetch_add(1, Ordering::Release);
-        fresh
+        self.put_quiet(key, value)
     }
 
-    /// Stores a value without counting the lock acquisition — used when replaying the
-    /// disk tier at startup, which is sequential and should not pollute the contention
-    /// statistics the local tiers are measured by.
+    /// Stores a value without counting the lock acquisition — used when promoting a
+    /// disk-tier hit, which is replay-like bookkeeping and should not pollute the
+    /// contention statistics the local tiers are measured by.
     pub(crate) fn put_quiet(&self, key: String, value: V) -> bool {
-        let shard = &self.shards[self.shard_index(&key)];
-        let fresh = shard
-            .map
+        self.shard(&key)
             .write()
             .expect("shared tier shard poisoned")
             .insert(key, value)
-            .is_none();
-        shard.version.fetch_add(1, Ordering::Release);
-        fresh
-    }
-
-    /// A point-in-time copy of every entry (used by disk-tier compaction; does not count
-    /// towards [`SharedTier::lock_acquisitions`] for the same reason as replay).
-    pub(crate) fn snapshot(&self) -> Vec<(String, V)> {
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                s.map
-                    .read()
-                    .expect("shared tier shard poisoned")
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-}
-
-impl<V: Clone> MemoTier<String, V> for SharedTier<V> {
-    fn get(&self, key: &String) -> Option<V> {
-        self.get_str(key)
-    }
-
-    fn put(&self, key: String, value: V) -> bool {
-        self.put_owned(key, value)
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.map.read().expect("shared tier shard poisoned").len())
-            .sum()
+            .is_none()
     }
 }
 
 /// The disk tier of one record kind: the in-memory image of what the LSM segment stack
 /// holds for that kind, replayed once at open. It sits *below* the shared tier: a
-/// shared-tier miss falls through to `get_str` here, and a hit is promoted into the
-/// shared tier and evicted from this tier (the segments on disk still hold the record;
-/// this map only exists so warm lookups need not re-read segment files). Like the
-/// shared tier it counts its lock acquisitions, so `engine/tests/tiers.rs` can assert
-/// that background compaction — which touches only segment files and the manifest —
-/// never acquires one.
+/// shared-tier miss falls through to `get` here, and a hit is promoted into the shared
+/// tier and evicted from this tier (the segments on disk still hold the record; this
+/// map only exists so warm lookups need not re-read segment files). Like the shared
+/// tier it counts its lock acquisitions, so `engine/tests/tiers.rs` can assert that
+/// background compaction — which touches only segment files and the manifest — never
+/// acquires one.
 ///
 /// A single `RwLock` (not shards) is deliberate: after the open-time replay the tier is
 /// read-mostly and every hot key migrates out of it after its first warm lookup.
@@ -307,11 +196,16 @@ impl<V> DiskTier<V> {
     pub fn lock_acquisitions(&self) -> usize {
         self.locks.load(Ordering::Relaxed)
     }
+
+    /// Number of un-promoted entries (uncounted, like replay).
+    pub(crate) fn len(&self) -> usize {
+        self.map.read().expect("disk tier poisoned").len()
+    }
 }
 
 impl<V: Clone> DiskTier<V> {
     /// Looks a key up (one counted read-lock acquisition).
-    pub fn get_str(&self, key: &str) -> Option<V> {
+    pub fn get(&self, key: &str) -> Option<V> {
         self.locks.fetch_add(1, Ordering::Relaxed);
         self.map
             .read()
@@ -324,7 +218,6 @@ impl<V: Clone> DiskTier<V> {
     /// sequential and should not pollute the contention statistics. `true` when fresh
     /// (replay feeds segments newest-first, so the first occurrence wins).
     pub fn put_quiet(&self, key: String, value: V) -> bool {
-        use std::collections::hash_map::Entry;
         match self.map.write().expect("disk tier poisoned").entry(key) {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
@@ -342,8 +235,8 @@ impl<V: Clone> DiskTier<V> {
         self.map.write().expect("disk tier poisoned").remove(key);
     }
 
-    /// A point-in-time copy of every entry (migration snapshots; uncounted like
-    /// [`SharedTier::snapshot`]).
+    /// A point-in-time copy of every entry (the v5 → v6 migration writes it out as
+    /// segments; uncounted like replay).
     pub(crate) fn snapshot(&self) -> Vec<(String, V)> {
         self.map
             .read()
@@ -354,188 +247,6 @@ impl<V: Clone> DiskTier<V> {
     }
 }
 
-impl<V: Clone> MemoTier<String, V> for DiskTier<V> {
-    fn get(&self, key: &String) -> Option<V> {
-        self.get_str(key)
-    }
-
-    fn put(&self, key: String, value: V) -> bool {
-        self.locks.fetch_add(1, Ordering::Relaxed);
-        self.map
-            .write()
-            .expect("disk tier poisoned")
-            .insert(key, value)
-            .is_none()
-    }
-
-    fn len(&self) -> usize {
-        self.map.read().expect("disk tier poisoned").len()
-    }
-}
-
-/// Write-behind inserts flush to the shared tier in batches of this size (grouped by
-/// shard: one write lock per distinct shard per flush).
-pub const MIRROR_BATCH: usize = 256;
-
-/// A worker-local replica of a [`SharedTier`] with coarse-grained synchronisation, for
-/// record kinds whose values are cheap to recompute (so a temporarily unsynchronised
-/// replica costs a little duplicate work, never a wrong answer — values remain pure
-/// functions of their keys).
-///
-/// * **Reads** are answered from the replica. A miss syncs the key's whole shard from
-///   the shared tier — but only when the shard's lock-free write-version says there is
-///   actually something new since the replica's last sync — so per-key shared lookups
-///   are replaced by occasional, always-useful whole-shard copies.
-/// * **Writes** land in the replica immediately and are published to the shared tier in
-///   write-behind batches (plus an explicit [`ShardMirror::flush`] at job boundaries),
-///   so N inserts cost ~N/[`MIRROR_BATCH`] lock acquisitions instead of N.
-#[derive(Debug)]
-pub struct ShardMirror<V> {
-    map: LocalMap<V>,
-    /// Per-shard shared write-version at this replica's last sync (`usize::MAX` =
-    /// never synced). Lazily sized to the shared tier's shard count.
-    synced_version: RefCell<Vec<usize>>,
-    pending: RefCell<Vec<(String, V)>>,
-}
-
-impl<V> Default for ShardMirror<V> {
-    fn default() -> Self {
-        ShardMirror {
-            map: LocalMap::default(),
-            synced_version: RefCell::new(Vec::new()),
-            pending: RefCell::new(Vec::new()),
-        }
-    }
-}
-
-impl<V: Clone> ShardMirror<V> {
-    /// Looks a key up in the replica, syncing the key's shard from `shared` when the
-    /// shard has news the replica has not seen. Returns the value (if any) and the
-    /// number of shared locks taken (0 or 1).
-    pub fn get_or_sync(&self, shared: &SharedTier<V>, key: &str) -> (Option<V>, usize) {
-        if let Some(v) = self.map.get_str(key) {
-            return (Some(v), 0);
-        }
-        let shard = shared.shard_index(key);
-        let mut synced = self.synced_version.borrow_mut();
-        let want = shared.shard_count().max(synced.len());
-        synced.resize(want, usize::MAX);
-        // Lock-free staleness probe: if nothing was written to the shard since the last
-        // sync, a shared lookup cannot do better than the replica just did.
-        let version = shared.shard_version(shard);
-        if synced[shard] == version {
-            return (None, 0);
-        }
-        shared.copy_shard_into(shard, &self.map);
-        synced[shard] = version;
-        (self.map.get_str(key), 1)
-    }
-
-    /// Stores into the replica and the write-behind buffer, flushing the buffer when it
-    /// reaches [`MIRROR_BATCH`]. Returns the number of shared locks taken.
-    pub fn put(&self, shared: &SharedTier<V>, key: String, value: V) -> usize {
-        self.map.put_owned(key.clone(), value.clone());
-        let mut pending = self.pending.borrow_mut();
-        pending.push((key, value));
-        if pending.len() >= MIRROR_BATCH {
-            let batch = std::mem::take(&mut *pending);
-            drop(pending);
-            self.publish(shared, batch)
-        } else {
-            0
-        }
-    }
-
-    /// Publishes every buffered insert (called at job boundaries so other workers see a
-    /// finished method's transitions). Returns the number of shared locks taken.
-    pub fn flush(&self, shared: &SharedTier<V>) -> usize {
-        let batch = std::mem::take(&mut *self.pending.borrow_mut());
-        if batch.is_empty() {
-            0
-        } else {
-            self.publish(shared, batch)
-        }
-    }
-
-    /// Publishes a batch, marking our own writes as seen so they do not trigger a
-    /// useless self-sync on the next local miss.
-    fn publish(&self, shared: &SharedTier<V>, batch: Vec<(String, V)>) -> usize {
-        let touched = shared.put_batch(batch);
-        let mut synced = self.synced_version.borrow_mut();
-        let want = shared.shard_count().max(synced.len());
-        synced.resize(want, usize::MAX);
-        let mut locks = 0;
-        for (shard, version_before) in touched {
-            locks += 1;
-            // Fast-forward only when the replica had seen everything up to the moment
-            // of our publish — otherwise entries another worker wrote since our last
-            // sync would be skipped forever. (`version_before` is the shard's write
-            // version just before our batch landed.)
-            if synced[shard] == version_before {
-                synced[shard] = shared.shard_version(shard);
-            }
-        }
-        locks
-    }
-
-    /// Number of entries in the replica.
-    pub fn len(&self) -> usize {
-        MemoTier::<String, V>::len(&self.map)
-    }
-
-    /// Whether the replica holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<V: Clone> SharedTier<V> {
-    /// Copies one shard's entries into a [`LocalMap`] (one read-lock acquisition).
-    fn copy_shard_into(&self, shard: usize, dst: &LocalMap<V>) {
-        self.locks.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shards[shard]
-            .map
-            .read()
-            .expect("shared tier shard poisoned");
-        let mut map = dst.map.borrow_mut();
-        for (k, v) in shard.iter() {
-            map.entry(k.clone()).or_insert_with(|| v.clone());
-        }
-    }
-
-    /// Inserts a batch, grouped so each distinct shard is locked once (and its version
-    /// bumped once). Returns `(shard index, write version just before the batch)` for
-    /// each touched shard — one lock each; the pre-batch version lets a publishing
-    /// mirror tell whether it was up to date at the moment its own writes landed.
-    pub fn put_batch(&self, entries: Vec<(String, V)>) -> Vec<(usize, usize)> {
-        let mut by_shard: Vec<Vec<(String, V)>> = Vec::new();
-        by_shard.resize_with(self.shards.len(), Vec::new);
-        for (k, v) in entries {
-            by_shard[self.shard_index(&k)].push((k, v));
-        }
-        let mut touched = Vec::new();
-        for (i, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            self.locks.fetch_add(1, Ordering::Relaxed);
-            let mut shard = self.shards[i]
-                .map
-                .write()
-                .expect("shared tier shard poisoned");
-            // Read under the write lock: no other writer can slip between this read
-            // and our version bump.
-            touched.push((i, self.shards[i].version.load(Ordering::Acquire)));
-            for (k, v) in group {
-                shard.entry(k).or_insert(v);
-            }
-            drop(shard);
-            self.shards[i].version.fetch_add(1, Ordering::Release);
-        }
-        touched
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,30 +254,18 @@ mod tests {
     #[test]
     fn shared_tier_counts_lock_acquisitions() {
         let tier: SharedTier<bool> = SharedTier::default();
-        assert_eq!(tier.get_str("a"), None);
-        assert!(tier.put_owned("a".into(), true));
-        assert!(!tier.put_owned("a".into(), true));
-        assert_eq!(tier.get_str("a"), Some(true));
+        assert_eq!(tier.get("a"), None);
+        assert!(tier.put("a".into(), true));
+        assert!(!tier.put("a".into(), true));
+        assert_eq!(tier.get("a"), Some(true));
         assert_eq!(tier.lock_acquisitions(), 4);
         assert!(tier.put_quiet("b".into(), false));
         assert_eq!(
             tier.lock_acquisitions(),
             4,
-            "replay inserts are not counted"
+            "promotion inserts are not counted"
         );
-        assert_eq!(MemoTier::len(&tier), 2);
-    }
-
-    #[test]
-    fn tiers_share_the_memo_tier_interface() {
-        fn exercise<T: MemoTier<String, u32>>(tier: &T) {
-            assert!(tier.is_empty());
-            assert!(tier.put("k".into(), 7));
-            assert_eq!(tier.get(&"k".to_string()), Some(7));
-            assert_eq!(tier.len(), 1);
-        }
-        exercise(&LocalMap::default());
-        exercise(&SharedTier::default());
+        assert_eq!(tier.len(), 2);
     }
 
     #[test]
@@ -575,19 +274,19 @@ mod tests {
         assert!(tier.put_quiet("warm".into(), true));
         assert!(!tier.put_quiet("warm".into(), false), "first replay wins");
         assert_eq!(tier.lock_acquisitions(), 0, "replay is uncounted");
-        assert_eq!(tier.get_str("warm"), Some(true));
+        assert_eq!(tier.get("warm"), Some(true));
         assert_eq!(tier.lock_acquisitions(), 1);
         tier.evict("warm");
-        assert_eq!(tier.get_str("warm"), None);
+        assert_eq!(tier.get("warm"), None);
         assert_eq!(tier.lock_acquisitions(), 3);
-        assert_eq!(MemoTier::<String, bool>::len(&tier), 0);
+        assert_eq!(tier.len(), 0);
     }
 
     #[test]
     fn snapshot_copies_every_entry() {
-        let tier: SharedTier<u32> = SharedTier::default();
+        let tier: DiskTier<u32> = DiskTier::default();
         for i in 0..100u32 {
-            tier.put_owned(format!("key-{i}"), i);
+            tier.put_quiet(format!("key-{i}"), i);
         }
         let mut snap = tier.snapshot();
         snap.sort();

@@ -14,7 +14,7 @@
 //! fuzz loops.
 
 use hat_engine::lsm;
-use hat_engine::MemoStore;
+use hat_engine::{MemoStore, RecordKind};
 use hat_sfa::Sfa;
 use hat_testkit::XorShift;
 use std::path::{Path, PathBuf};
@@ -57,10 +57,18 @@ fn truth_tr(i: usize) -> Sfa {
 fn populate(path: &Path) {
     let store = MemoStore::with_disk_log(path).expect("populate open");
     for i in 0..KEYS {
-        store.insert(format!("sat|k{i}"), truth_sat(i));
-        store.insert_inclusion(format!("incl|k{i}"), truth_incl(i));
+        store.insert(RecordKind::Solver, format!("sat|k{i}"), truth_sat(i).into());
+        store.insert(
+            RecordKind::Inclusion,
+            format!("incl|k{i}"),
+            truth_incl(i).into(),
+        );
         if i.is_multiple_of(4) {
-            store.insert_transition(format!("tr|k{i}"), truth_tr(i));
+            store.insert(
+                RecordKind::Transition,
+                format!("tr|k{i}"),
+                truth_tr(i).into(),
+            );
         }
     }
 }
@@ -73,18 +81,18 @@ fn verify_no_wrong_answers(path: &Path) -> usize {
     assert!(!store.degraded(), "no crash shape may leave the lock stuck");
     let mut present = 0;
     for i in 0..KEYS {
-        if let Some(v) = store.lookup(&format!("sat|k{i}")) {
+        if let Some(v) = store.lookup(RecordKind::Solver, &format!("sat|k{i}")) {
             assert_eq!(
                 v,
-                truth_sat(i),
+                truth_sat(i).into(),
                 "sat|k{i}: torn data produced a wrong verdict"
             );
             present += 1;
         }
-        if let Some(v) = store.lookup_inclusion(&format!("incl|k{i}")) {
+        if let Some(v) = store.lookup(RecordKind::Inclusion, &format!("incl|k{i}")) {
             assert_eq!(
                 v,
-                truth_incl(i),
+                truth_incl(i).into(),
                 "incl|k{i}: torn data produced a wrong verdict"
             );
             present += 1;
@@ -92,10 +100,10 @@ fn verify_no_wrong_answers(path: &Path) -> usize {
         if !i.is_multiple_of(4) {
             continue;
         }
-        if let Some(v) = store.lookup_transition(&format!("tr|k{i}")) {
+        if let Some(v) = store.lookup(RecordKind::Transition, &format!("tr|k{i}")) {
             assert_eq!(
                 v,
-                truth_tr(i),
+                truth_tr(i).into(),
                 "tr|k{i}: torn data produced a wrong successor"
             );
             present += 1;
@@ -181,7 +189,9 @@ fn random_crash_shapes_degrade_to_cold_never_to_wrong_verdicts() {
         populate(&path);
         let healed = {
             let store = MemoStore::with_disk_log(&path).expect("healed open");
-            (0..KEYS).all(|i| store.lookup(&format!("sat|k{i}")) == Some(truth_sat(i)))
+            (0..KEYS).all(|i| {
+                store.lookup(RecordKind::Solver, &format!("sat|k{i}")) == Some(truth_sat(i).into())
+            })
         };
         assert!(
             healed,
@@ -206,10 +216,10 @@ fn a_torn_manifest_degrades_its_segments_to_cold() {
         std::fs::write(&path, &data[..cut]).unwrap();
         let store = MemoStore::with_disk_log(&path).expect("open after manifest damage");
         for i in 0..KEYS {
-            if let Some(v) = store.lookup(&format!("sat|k{i}")) {
+            if let Some(v) = store.lookup(RecordKind::Solver, &format!("sat|k{i}")) {
                 assert_eq!(
                     v,
-                    truth_sat(i),
+                    truth_sat(i).into(),
                     "round {round}: wrong verdict after manifest tear"
                 );
             }
@@ -242,10 +252,13 @@ fn a_kill_between_compaction_write_and_rename_loses_nothing() {
         "the committed manifest is untouched"
     );
     for i in 0..KEYS {
-        assert_eq!(store.lookup(&format!("sat|k{i}")), Some(truth_sat(i)));
         assert_eq!(
-            store.lookup_inclusion(&format!("incl|k{i}")),
-            Some(truth_incl(i))
+            store.lookup(RecordKind::Solver, &format!("sat|k{i}")),
+            Some(truth_sat(i).into())
+        );
+        assert_eq!(
+            store.lookup(RecordKind::Inclusion, &format!("incl|k{i}")),
+            Some(truth_incl(i).into())
         );
     }
     drop(store);
@@ -268,11 +281,23 @@ fn committed_v5_fixture_migrates_atomically() {
     std::fs::copy(&fixture, &path).expect("fixture copies");
     {
         let store = MemoStore::with_disk_log(&path).expect("fixture opens");
-        assert_eq!(store.lookup("sat|fixture-a"), Some(true));
-        assert_eq!(store.lookup("sat|fixture-b"), Some(false));
-        assert_eq!(store.lookup_inclusion("incl|fixture-c"), Some(true));
-        assert_eq!(store.lookup_shape("shape|fixture-d"), Some(false));
-        assert!(store.lookup_minterms("mt|fixture-e").is_some());
+        assert_eq!(
+            store.lookup(RecordKind::Solver, "sat|fixture-a"),
+            Some(true.into())
+        );
+        assert_eq!(
+            store.lookup(RecordKind::Solver, "sat|fixture-b"),
+            Some(false.into())
+        );
+        assert_eq!(
+            store.lookup(RecordKind::Inclusion, "incl|fixture-c"),
+            Some(true.into())
+        );
+        assert_eq!(
+            store.lookup(RecordKind::Shape, "shape|fixture-d"),
+            Some(false.into())
+        );
+        assert!(store.lookup(RecordKind::Minterms, "mt|fixture-e").is_some());
         assert_eq!(
             store.stats().disk_loaded,
             5,
@@ -288,7 +313,10 @@ fn committed_v5_fixture_migrates_atomically() {
     assert_eq!(stats.live(), 5);
     assert_eq!(stats.dead(), 0, "migration writes only the live records");
     let warm = MemoStore::with_disk_log(&path).expect("migrated store reopens");
-    assert_eq!(warm.lookup("sat|fixture-a"), Some(true));
+    assert_eq!(
+        warm.lookup(RecordKind::Solver, "sat|fixture-a"),
+        Some(true.into())
+    );
     assert_eq!(warm.stats().stale, 0);
     cleanup(&path);
 }

@@ -103,7 +103,7 @@ impl Minterm {
 /// The finite alphabet obtained by alphabet transformation: all satisfiable minterms,
 /// together with the subset of literals that do not mention event-local variables
 /// ("uniform" literals, whose value cannot change within one trace).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MintermSet {
     /// All satisfiable minterms, across operators.
     pub minterms: Vec<Minterm>,
