@@ -1,9 +1,12 @@
 //! Regenerates Table 1 of the paper: one row per (ADT, library) configuration with the
 //! method count, ghost count, invariant size, total verification time and the work
-//! counters of the most demanding method. Afterwards it exercises the `hat-engine`
-//! subsystem — 1 vs N jobs, cold vs warm cache — replays the suite against an
-//! in-process `marpled` daemon (cold client, then a warm second client), and writes
-//! the measurements to `BENCH_engine.json`.
+//! counters of the most demanding method. Afterwards it runs the `hat-engine`
+//! subsystem once per knob setting — 1 vs N jobs, cold vs warm cache, and each
+//! enumeration, pruning, inclusion, subsumption and local-tier knob off its default —
+//! replays the suite against an in-process `marpled` daemon (cold client, then a warm
+//! second client), and writes the measurements to `BENCH_engine.json`: one row per
+//! run with its wall time and every counter per configuration. It exits non-zero when
+//! the file cannot be written.
 //!
 //! Usage: `cargo run --release -p hat-bench --bin table1 [adt-filter|--full]`
 //!
@@ -75,7 +78,7 @@ fn main() {
     }
 
     if filter.is_empty() {
-        eprintln!("measuring hat-engine (1 vs N jobs, cold vs warm cache)...");
+        eprintln!("measuring hat-engine (one run per knob setting)...");
         let comparison = engine_comparison(&hat_suite::all_benchmarks(), include_slow);
         if !comparison.skipped.is_empty() {
             eprintln!(
@@ -83,86 +86,13 @@ fn main() {
                 comparison.skipped.join(", ")
             );
         }
-        if let Some(largest) = comparison
-            .enum_reduction
-            .iter()
-            .max_by_key(|r| r.naive_queries)
-        {
+        for run in &comparison.runs {
             eprintln!(
-                "largest configuration {}/{}: cold enumeration queries {} (naive) -> {} (incremental), {:.1}x fewer",
-                largest.adt,
-                largest.library,
-                largest.naive_enumeration,
-                largest.incremental_enumeration,
-                largest.enumeration_reduction()
-            );
-        }
-        if let Some(largest) = comparison
-            .prune_reduction
-            .iter()
-            .max_by_key(|r| r.unpruned_transitions)
-        {
-            eprintln!(
-                "largest DFA workload {}/{}: transitions {} (unpruned) -> {} (pruned), {:.1}x fewer ({} alphabet symbols dropped; states {} = {})",
-                largest.adt,
-                largest.library,
-                largest.unpruned_transitions,
-                largest.pruned_transitions,
-                largest.reduction(),
-                largest.alphabet_pruned,
-                largest.unpruned_states,
-                largest.pruned_states
-            );
-        }
-        if let Some(largest) = comparison
-            .inclusion_reduction
-            .iter()
-            .max_by_key(|r| r.materialise_transitions)
-        {
-            eprintln!(
-                "largest inclusion workload {}/{}: transitions {} (materialise) -> {} (on-the-fly, simulation subsumption), {:.1}x fewer ({} product pairs vs {} DFA states)",
-                largest.adt,
-                largest.library,
-                largest.materialise_transitions,
-                largest.onthefly_simulation_transitions,
-                largest.reduction(),
-                largest.product_states,
-                largest.materialise_states
-            );
-        }
-        if let Some(largest) = comparison
-            .subsumption_reduction
-            .iter()
-            .max_by_key(|r| r.off_cold_pairs)
-        {
-            eprintln!(
-                "largest product walk {}/{}: cold pairs {} (off) -> {} (syntactic) -> {} (simulation), {:.1}x fewer; {} pairs subsumed cold, {} simulation-memo hits warm",
-                largest.adt,
-                largest.library,
-                largest.off_cold_pairs,
-                largest.syntactic_cold_pairs,
-                largest.simulation_cold_pairs,
-                largest.cold_pair_reduction(),
-                largest.subsumed_pairs,
-                largest.simulation_memo_hits
-            );
-        }
-        let shared_only: usize = comparison
-            .lock_reduction
-            .iter()
-            .map(|r| r.shared_only_locks)
-            .sum();
-        let read_through: usize = comparison
-            .lock_reduction
-            .iter()
-            .map(|r| r.read_through_locks)
-            .sum();
-        if read_through > 0 {
-            eprintln!(
-                "shared-tier lock traffic at jobs=6: {} (shared-only) -> {} (read-through local tiers), {:.1}x fewer",
-                shared_only,
-                read_through,
-                shared_only as f64 / read_through as f64
+                "{:<30} wall {:>6.2}s, {} hits / {} misses",
+                run.label,
+                run.summary.wall.as_secs_f64(),
+                run.summary.cache.hits,
+                run.summary.cache.misses
             );
         }
         eprintln!("replaying the suite against an in-process marpled (cold, then warm client)...");
@@ -176,8 +106,8 @@ fn main() {
             replay.warm.requests_per_second(),
             replay.warm.p50_latency_seconds,
             replay.warm.p95_latency_seconds,
-            replay.warm.cache_misses,
-            replay.warm.disk_loaded
+            replay.warm.cache.misses,
+            replay.warm.cache.disk_loaded
         );
         eprintln!(
             "measuring mixed-traffic fairness (probe checks vs background check-all clients)..."
@@ -217,7 +147,10 @@ fn main() {
             Some(&lsm),
         ) {
             Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("cannot write {path}: {e}"),
+            Err(e) => {
+                eprintln!("cannot write {path}: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }

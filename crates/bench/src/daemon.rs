@@ -5,8 +5,9 @@
 //! configuration, twice: a **cold** client against a daemon whose store starts empty,
 //! then a **warm** second client on a fresh connection. The warm phase is the daemon's
 //! whole value proposition, so the replay records the evidence: every query answered
-//! from the shared store (`cache_misses == 0`) without replaying the disk log again
-//! (`disk_loaded == 0` — the log was read once, at daemon startup, not per client).
+//! from the shared store (`cache.misses == 0`) without replaying the disk log again
+//! (`cache.disk_loaded == 0` — the log was read once, at daemon startup, not per
+//! client).
 //!
 //! The **mixed-traffic** replay ([`mixed_traffic_replay`]) measures fairness instead
 //! of throughput: a latency-sensitive `check` probe is timed uncontended, then again
@@ -16,7 +17,7 @@
 //! trail the whole batch.
 
 use hat_daemon::{Addr, Daemon, DaemonConfig, RemoteClient, Request};
-use hat_engine::EngineConfig;
+use hat_engine::{CacheStatsSnapshot, EngineConfig};
 use hat_suite::Benchmark;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -34,13 +35,9 @@ pub struct ReplayPhase {
     pub p50_latency_seconds: f64,
     /// 95th-percentile request latency, seconds.
     pub p95_latency_seconds: f64,
-    /// Solver-cache hits across the session's requests.
-    pub cache_hits: usize,
-    /// Solver-cache misses (queries that reached a solver).
-    pub cache_misses: usize,
-    /// Disk-log entries loaded *during* the session (0: the daemon loads the log once
-    /// at startup, never per client).
-    pub disk_loaded: usize,
+    /// Cache-counter deltas summed over the session's requests. `disk_loaded` stays 0:
+    /// the daemon loads the log once at startup, never per client.
+    pub cache: CacheStatsSnapshot,
 }
 
 impl ReplayPhase {
@@ -78,9 +75,7 @@ fn replay_session(addr: &Addr, trace: &[(String, String)]) -> ReplayPhase {
     let mut client = RemoteClient::connect(addr).expect("the replay client connects");
     let mut latencies = Vec::with_capacity(trace.len());
     let mut jobs = 0;
-    let mut hits = 0;
-    let mut misses = 0;
-    let mut disk_loaded = 0;
+    let mut cache = CacheStatsSnapshot::default();
     let start = Instant::now();
     for (adt, library) in trace {
         let sent = Instant::now();
@@ -95,9 +90,7 @@ fn replay_session(addr: &Addr, trace: &[(String, String)]) -> ReplayPhase {
             .unwrap_or_else(|e| panic!("replaying {adt}/{library} failed: {e}"));
         latencies.push(sent.elapsed().as_secs_f64());
         jobs += run.jobs;
-        hits += run.summary.cache.hits;
-        misses += run.summary.cache.misses;
-        disk_loaded += run.summary.cache.disk_loaded;
+        cache += run.summary.cache;
     }
     let wall_seconds = start.elapsed().as_secs_f64();
     latencies.sort_by(f64::total_cmp);
@@ -107,9 +100,7 @@ fn replay_session(addr: &Addr, trace: &[(String, String)]) -> ReplayPhase {
         wall_seconds,
         p50_latency_seconds: percentile(&latencies, 50.0),
         p95_latency_seconds: percentile(&latencies, 95.0),
-        cache_hits: hits,
-        cache_misses: misses,
-        disk_loaded,
+        cache,
     }
 }
 

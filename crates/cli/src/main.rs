@@ -258,21 +258,7 @@ fn print_run(bench: &Benchmark, run: &BenchmarkRun) -> bool {
 
 fn print_cache_line(summary: &RunSummary, lifetime: hat_engine::CacheStatsSnapshot) {
     let c = &summary.cache;
-    let pruned: usize = summary.benchmarks.iter().map(|b| b.alphabet_pruned()).sum();
-    let dfa_states: usize = summary.benchmarks.iter().map(|b| b.dfa_states()).sum();
-    let product_states: usize = summary.benchmarks.iter().map(|b| b.product_states()).sum();
-    let shape_hits: usize = summary.benchmarks.iter().map(|b| b.shape_memo_hits()).sum();
-    let subsumed: usize = summary.benchmarks.iter().map(|b| b.subsumed_pairs()).sum();
-    let subsume_checks: usize = summary
-        .benchmarks
-        .iter()
-        .map(|b| b.subsumption_checks())
-        .sum();
-    let simulation_hits: usize = summary
-        .benchmarks
-        .iter()
-        .map(|b| b.simulation_memo_hits())
-        .sum();
+    let totals = summary.stats();
     println!(
         "cache: {} hits / {} misses ({:.1}% hit rate), {} minterm-set hits, {} transition-memo hits, {} shape-memo hits, {} simulation-memo hits, {} shared-tier locks, {} loaded from disk, {} stale; dfa: {} states, {} product states, {} pairs subsumed ({} probes), {} alphabet symbols pruned; wall {:.2}s",
         c.hits,
@@ -280,16 +266,16 @@ fn print_cache_line(summary: &RunSummary, lifetime: hat_engine::CacheStatsSnapsh
         100.0 * c.hit_rate(),
         c.minterm_hits,
         c.transition_hits,
-        shape_hits,
-        simulation_hits,
+        totals.shape_memo_hits,
+        totals.simulation_memo_hits,
         c.lock_acquisitions,
         lifetime.disk_loaded,
         lifetime.stale,
-        dfa_states,
-        product_states,
-        subsumed,
-        subsume_checks,
-        pruned,
+        totals.dfa_states,
+        totals.product_states,
+        totals.subsumed_pairs,
+        totals.subsumption_checks,
+        totals.alphabet_pruned,
         summary.wall.as_secs_f64()
     );
 }

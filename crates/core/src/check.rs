@@ -15,9 +15,10 @@ use crate::rty::{HType, RType, NU};
 use crate::subtype::sub_base;
 use hat_lang::{Expr, Value};
 use hat_logic::{Constant, Formula, Ident, Solver, Sort, Term};
+pub use hat_sfa::CheckStats;
 use hat_sfa::{InclusionChecker, Sfa, SolverOracle};
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The HAT-enriched signature of an ADT method, e.g.
 /// `p:Path.t ⇢ path:Path.t → bytes:Bytes.t → [I_FS(p)] bool [I_FS(p)]`.
@@ -35,66 +36,6 @@ pub struct MethodSig {
     pub ret: RType,
     /// Postcondition automaton (normally the representation invariant again).
     pub post: Sfa,
-}
-
-/// Work counters for one method check — the per-method columns of Tables 1/3/4.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CheckStats {
-    /// Number of SMT queries (`#SAT`).
-    pub sat_queries: usize,
-    /// Time spent in the SMT solver (`t_SAT`).
-    pub sat_time: Duration,
-    /// Number of finite-automaton inclusion checks (`#FA⊆` / `#Inc`).
-    pub fa_inclusions: usize,
-    /// Average number of transitions of the constructed FAs (`avg. s_FA`).
-    pub avg_fa_size: f64,
-    /// Time spent constructing and comparing FAs (`t_FA⊆`), excluding solver time.
-    pub fa_time: Duration,
-    /// Total verification time for the method.
-    pub total_time: Duration,
-    /// Number of operator preconditions that had to be assumed because abduction could not
-    /// discharge them (0 for a faithful verification run).
-    pub assumed_preconditions: usize,
-    /// Number of SMT queries answered from a shared result cache (0 without a caching
-    /// oracle; see the `hat-engine` crate).
-    pub cache_hits: usize,
-    /// Number of SMT queries that reached the underlying decision procedure.
-    pub cache_misses: usize,
-    /// Number of incremental scoped-session checks issued during minterm enumeration
-    /// (0 with naive enumeration, whose work is visible in `sat_queries` instead).
-    pub enum_queries: usize,
-    /// Number of unsatisfiable enumeration branches abandoned (pruned subtrees).
-    pub pruned_subtrees: usize,
-    /// Number of alphabet transformations answered from the minterm-set memo.
-    pub minterm_memo_hits: usize,
-    /// Number of whole automata-inclusion checks answered from the inclusion memo.
-    pub inclusion_memo_hits: usize,
-    /// Total states of the DFAs constructed for this method.
-    pub dfa_states: usize,
-    /// Total transitions of the DFAs constructed for this method.
-    pub dfa_transitions: usize,
-    /// Number of alphabet symbols dropped by per-group pruning before product
-    /// construction.
-    pub alphabet_pruned: usize,
-    /// Number of DFA transitions answered from the run-wide transition memo.
-    pub transition_memo_hits: usize,
-    /// Number of distinct product states discovered by on-the-fly inclusion walks
-    /// (0 when inclusion ran in materialising mode).
-    pub product_states: usize,
-    /// Number of per-group product walks answered from the DFA-shape memo.
-    pub shape_memo_hits: usize,
-    /// Number of antichain subsumption probes issued by on-the-fly product walks
-    /// (0 with `--subsume off` or in materialising mode).
-    pub subsumption_checks: usize,
-    /// Number of product pairs dropped by antichain subsumption before exploration.
-    pub subsumed_pairs: usize,
-    /// Number of simulation-preorder probes answered from the persistent subsumption
-    /// memo.
-    pub simulation_memo_hits: usize,
-    /// Number of shared-tier shard-lock acquisitions the oracle performed for this
-    /// method (0 without a tiered oracle). Per-worker local read-through tiers absorb
-    /// repeat lookups lock-free, so this drops under `--jobs N` while hit counts stay.
-    pub shared_tier_locks: usize,
 }
 
 /// The outcome of checking one method.
@@ -185,6 +126,21 @@ impl Checker {
         }
     }
 
+    /// The running totals behind a method's counters: the inclusion checker's plus the
+    /// five the oracle reads out. `check_method` reports the difference across a check.
+    fn counter_totals(&self) -> CheckStats {
+        let mut totals = self.inclusion.stats;
+        totals += CheckStats {
+            sat_queries: self.oracle.query_count(),
+            sat_time: self.oracle.query_time(),
+            cache_hits: self.oracle.cache_hits(),
+            cache_misses: self.oracle.cache_misses(),
+            shared_tier_locks: self.oracle.shared_tier_locks(),
+            ..CheckStats::default()
+        };
+        totals
+    }
+
     fn fresh_name(&mut self, prefix: &str) -> Ident {
         self.fresh += 1;
         format!("{prefix}%{}", self.fresh)
@@ -198,12 +154,7 @@ impl Checker {
         body: &Expr,
     ) -> Result<MethodReport, CheckError> {
         let start = Instant::now();
-        let queries_before = self.oracle.query_count();
-        let time_before = self.oracle.query_time();
-        let hits_before = self.oracle.cache_hits();
-        let misses_before = self.oracle.cache_misses();
-        let locks_before = self.oracle.shared_tier_locks();
-        let incl_before = self.inclusion.stats.clone();
+        let before = self.counter_totals();
 
         // ν-shadowing regression (found by `marple fuzz`, reproducer `gen/s1-i17-n0`):
         // a *program* variable named like the reserved refinement binder ν is silently
@@ -276,44 +227,10 @@ impl Checker {
         // Publish write-behind memo batches before harvesting counters, so the flush's
         // shared-tier locks are attributed to this method rather than lost in drop.
         self.oracle.flush_memos();
-        let incl_after = self.inclusion.stats.clone();
-        let total_time = start.elapsed();
-        let sat_time = self.oracle.query_time().saturating_sub(time_before);
-        let dfas = incl_after.dfas_built - incl_before.dfas_built;
-        let stats = CheckStats {
-            sat_queries: self.oracle.query_count() - queries_before,
-            sat_time,
-            fa_inclusions: incl_after.fa_inclusions - incl_before.fa_inclusions,
-            avg_fa_size: if dfas == 0 {
-                0.0
-            } else {
-                (incl_after.fa_transitions - incl_before.fa_transitions) as f64 / dfas as f64
-            },
-            fa_time: incl_after
-                .time
-                .saturating_sub(incl_before.time)
-                .saturating_sub(sat_time),
-            total_time,
-            assumed_preconditions: assumed,
-            cache_hits: self.oracle.cache_hits() - hits_before,
-            cache_misses: self.oracle.cache_misses() - misses_before,
-            enum_queries: incl_after.enum_queries - incl_before.enum_queries,
-            pruned_subtrees: incl_after.pruned_subtrees - incl_before.pruned_subtrees,
-            minterm_memo_hits: incl_after.minterm_memo_hits - incl_before.minterm_memo_hits,
-            inclusion_memo_hits: incl_after.inclusion_memo_hits - incl_before.inclusion_memo_hits,
-            dfa_states: incl_after.fa_states - incl_before.fa_states,
-            dfa_transitions: incl_after.fa_transitions - incl_before.fa_transitions,
-            alphabet_pruned: incl_after.alphabet_pruned - incl_before.alphabet_pruned,
-            transition_memo_hits: incl_after.transition_memo_hits
-                - incl_before.transition_memo_hits,
-            product_states: incl_after.product_states - incl_before.product_states,
-            shape_memo_hits: incl_after.shape_memo_hits - incl_before.shape_memo_hits,
-            subsumption_checks: incl_after.subsumption_checks - incl_before.subsumption_checks,
-            subsumed_pairs: incl_after.subsumed_pairs - incl_before.subsumed_pairs,
-            simulation_memo_hits: incl_after.simulation_memo_hits
-                - incl_before.simulation_memo_hits,
-            shared_tier_locks: self.oracle.shared_tier_locks() - locks_before,
-        };
+        let mut stats = self.counter_totals() - before;
+        stats.fa_time = stats.fa_time.saturating_sub(stats.sat_time);
+        stats.total_time = start.elapsed();
+        stats.assumed_preconditions = assumed;
         Ok(MethodReport {
             name: sig.name.clone(),
             verified: failures.is_empty(),
@@ -901,7 +818,7 @@ mod tests {
         assert_eq!(report.apps, 2);
         assert!(report.stats.sat_queries > 0);
         assert!(report.stats.fa_inclusions > 0);
-        assert!(report.stats.avg_fa_size > 0.0);
+        assert!(report.stats.avg_fa_size() > 0.0);
         assert_eq!(report.stats.assumed_preconditions, 0);
     }
 

@@ -10,7 +10,6 @@ use hat_core::MethodReport;
 use hat_engine::{BenchmarkRun, CompactionReport, RunSummary};
 use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
-use std::time::Duration;
 
 /// A connected client. Requests are issued one at a time by the convenience methods;
 /// the lower-level [`RemoteClient::send`]/[`RemoteClient::recv`] pair supports
@@ -202,11 +201,9 @@ impl RemoteClient {
                                 adt,
                                 library,
                                 reports: Vec::new(),
-                                check_time: Duration::ZERO,
                             });
                         }
                         let run = benchmarks.last_mut().expect("pushed above");
-                        run.check_time += report.stats.total_time;
                         run.reports.push(report);
                     }
                     return Ok(RemoteRun {

@@ -4,7 +4,7 @@
 //! ## Handshake
 //!
 //! On connect the server speaks first, announcing one [`Hello`] frame:
-//! `{"server":"marpled v2","protocol":2,"cache_version":5,"pid":…}`. The client checks
+//! `{"server":"marpled v2","protocol":3,"cache_version":6,"pid":…}`. The client checks
 //! all three identity fields before sending anything; a mismatch (an old daemon, a
 //! different cache format generation, or a non-marpled service on the address) is
 //! rejected client-side with a message naming both sides, so version skew fails in one
@@ -30,19 +30,24 @@
 //! All numbers that count things are JSON integers; all durations travel as seconds in
 //! a JSON float, written with Rust's shortest-round-trip formatting so the client
 //! reconstructs bit-identical values and renders reports through the very same code
-//! path as a local run.
+//! path as a local run. Counter objects (`stats` in `report`, `cache` in `done` and
+//! `stats`) carry one key per counter of the `CheckStats` / `CacheStatsSnapshot`
+//! schema, written and read by iterating it.
 
 use crate::json::{obj, Json};
 use hat_core::{CheckStats, MethodReport};
 use hat_engine::{CacheStatsSnapshot, CompactionReport};
+use hat_sfa::{Counter, CounterMut};
 use std::time::Duration;
 
 /// The server's self-identification. Bump the version suffix on breaking protocol
 /// changes (v2: cancellation, deadlines, busy admission control, fairness counters).
 pub const SERVER_NAME: &str = "marpled v2";
 
-/// Frame-level protocol generation.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// Frame-level protocol generation (3: `report` stats carry every `CheckStats`
+/// counter by its schema name, `avg_fa_size` is derived from `dfa_transitions` and
+/// `dfas_built`, and every counter key is required).
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// The disk-cache format generation the daemon serves (`hat-engine-cache v6`). Part of
 /// the handshake so a client built against a different store generation refuses early.
@@ -426,10 +431,7 @@ fn duration_field(v: &Json, key: &str) -> Result<Duration, String> {
     let secs = v
         .f64_field(key)
         .ok_or_else(|| format!("missing duration field `{key}`"))?;
-    if !secs.is_finite() || secs < 0.0 {
-        return Err(format!("field `{key}` is not a valid duration"));
-    }
-    Ok(Duration::from_secs_f64(secs))
+    Duration::try_from_secs_f64(secs).map_err(|_| format!("field `{key}` is not a valid duration"))
 }
 
 fn usize_field(v: &Json, key: &str) -> Result<usize, String> {
@@ -437,119 +439,58 @@ fn usize_field(v: &Json, key: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("missing counter field `{key}`"))
 }
 
-/// Serialises every [`CheckStats`] counter (durations as float seconds).
+/// One JSON field per counter, in schema order: counts as integers, times as float
+/// seconds. `hat-bench` writes its `BENCH_engine.json` rows through this too.
+pub fn counter_fields(
+    counters: impl Iterator<Item = (&'static str, Counter)>,
+) -> Vec<(&'static str, Json)> {
+    counters
+        .map(|(name, counter)| {
+            let value = match counter {
+                Counter::Count(n) => Json::Int(n as i64),
+                Counter::Time(t) => secs(t),
+            };
+            (name, value)
+        })
+        .collect()
+}
+
+/// Reads every counter of a schema from a JSON object; each one is required.
+fn read_counters<'a>(
+    v: &Json,
+    counters: impl Iterator<Item = (&'static str, CounterMut<'a>)>,
+) -> Result<(), String> {
+    for (name, slot) in counters {
+        match slot {
+            CounterMut::Count(n) => *n = usize_field(v, name)?,
+            CounterMut::Time(t) => *t = duration_field(v, name)?,
+        }
+    }
+    Ok(())
+}
+
+/// Serialises every [`CheckStats`] counter.
 pub fn stats_to_json(s: &CheckStats) -> Json {
-    obj(vec![
-        ("sat_queries", Json::Int(s.sat_queries as i64)),
-        ("sat_time", secs(s.sat_time)),
-        ("fa_inclusions", Json::Int(s.fa_inclusions as i64)),
-        ("avg_fa_size", Json::Float(s.avg_fa_size)),
-        ("fa_time", secs(s.fa_time)),
-        ("total_time", secs(s.total_time)),
-        (
-            "assumed_preconditions",
-            Json::Int(s.assumed_preconditions as i64),
-        ),
-        ("cache_hits", Json::Int(s.cache_hits as i64)),
-        ("cache_misses", Json::Int(s.cache_misses as i64)),
-        ("enum_queries", Json::Int(s.enum_queries as i64)),
-        ("pruned_subtrees", Json::Int(s.pruned_subtrees as i64)),
-        ("minterm_memo_hits", Json::Int(s.minterm_memo_hits as i64)),
-        (
-            "inclusion_memo_hits",
-            Json::Int(s.inclusion_memo_hits as i64),
-        ),
-        ("dfa_states", Json::Int(s.dfa_states as i64)),
-        ("dfa_transitions", Json::Int(s.dfa_transitions as i64)),
-        ("alphabet_pruned", Json::Int(s.alphabet_pruned as i64)),
-        (
-            "transition_memo_hits",
-            Json::Int(s.transition_memo_hits as i64),
-        ),
-        ("product_states", Json::Int(s.product_states as i64)),
-        ("shape_memo_hits", Json::Int(s.shape_memo_hits as i64)),
-        ("subsumption_checks", Json::Int(s.subsumption_checks as i64)),
-        ("subsumed_pairs", Json::Int(s.subsumed_pairs as i64)),
-        (
-            "simulation_memo_hits",
-            Json::Int(s.simulation_memo_hits as i64),
-        ),
-        ("shared_tier_locks", Json::Int(s.shared_tier_locks as i64)),
-    ])
+    obj(counter_fields(s.counters()))
 }
 
 /// Parses a [`CheckStats`] object.
 pub fn stats_from_json(v: &Json) -> Result<CheckStats, String> {
-    Ok(CheckStats {
-        sat_queries: usize_field(v, "sat_queries")?,
-        sat_time: duration_field(v, "sat_time")?,
-        fa_inclusions: usize_field(v, "fa_inclusions")?,
-        avg_fa_size: v
-            .f64_field("avg_fa_size")
-            .ok_or("missing field `avg_fa_size`")?,
-        fa_time: duration_field(v, "fa_time")?,
-        total_time: duration_field(v, "total_time")?,
-        assumed_preconditions: usize_field(v, "assumed_preconditions")?,
-        cache_hits: usize_field(v, "cache_hits")?,
-        cache_misses: usize_field(v, "cache_misses")?,
-        enum_queries: usize_field(v, "enum_queries")?,
-        pruned_subtrees: usize_field(v, "pruned_subtrees")?,
-        minterm_memo_hits: usize_field(v, "minterm_memo_hits")?,
-        inclusion_memo_hits: usize_field(v, "inclusion_memo_hits")?,
-        dfa_states: usize_field(v, "dfa_states")?,
-        dfa_transitions: usize_field(v, "dfa_transitions")?,
-        alphabet_pruned: usize_field(v, "alphabet_pruned")?,
-        transition_memo_hits: usize_field(v, "transition_memo_hits")?,
-        product_states: usize_field(v, "product_states")?,
-        shape_memo_hits: usize_field(v, "shape_memo_hits")?,
-        // Absent when the daemon predates subsumption pruning: zero, not an error,
-        // so a newer client still reads an older daemon's reports.
-        subsumption_checks: v.usize_field("subsumption_checks").unwrap_or(0),
-        subsumed_pairs: v.usize_field("subsumed_pairs").unwrap_or(0),
-        simulation_memo_hits: v.usize_field("simulation_memo_hits").unwrap_or(0),
-        shared_tier_locks: usize_field(v, "shared_tier_locks")?,
-    })
+    let mut stats = CheckStats::default();
+    read_counters(v, stats.counters_mut())?;
+    Ok(stats)
 }
 
 /// Serialises a cache-counter snapshot (or delta).
 pub fn snapshot_to_json(s: &CacheStatsSnapshot) -> Json {
-    obj(vec![
-        ("hits", Json::Int(s.hits as i64)),
-        ("misses", Json::Int(s.misses as i64)),
-        ("disk_loaded", Json::Int(s.disk_loaded as i64)),
-        ("stale", Json::Int(s.stale as i64)),
-        ("minterm_hits", Json::Int(s.minterm_hits as i64)),
-        ("minterm_misses", Json::Int(s.minterm_misses as i64)),
-        ("transition_hits", Json::Int(s.transition_hits as i64)),
-        ("transition_misses", Json::Int(s.transition_misses as i64)),
-        ("subsumption_hits", Json::Int(s.subsumption_hits as i64)),
-        ("subsumption_misses", Json::Int(s.subsumption_misses as i64)),
-        ("lock_acquisitions", Json::Int(s.lock_acquisitions as i64)),
-        (
-            "disk_lock_acquisitions",
-            Json::Int(s.disk_lock_acquisitions as i64),
-        ),
-    ])
+    obj(counter_fields(s.counters()))
 }
 
 /// Parses a cache-counter snapshot.
 pub fn snapshot_from_json(v: &Json) -> Result<CacheStatsSnapshot, String> {
-    Ok(CacheStatsSnapshot {
-        hits: usize_field(v, "hits")?,
-        misses: usize_field(v, "misses")?,
-        disk_loaded: usize_field(v, "disk_loaded")?,
-        stale: usize_field(v, "stale")?,
-        minterm_hits: usize_field(v, "minterm_hits")?,
-        minterm_misses: usize_field(v, "minterm_misses")?,
-        transition_hits: usize_field(v, "transition_hits")?,
-        transition_misses: usize_field(v, "transition_misses")?,
-        // Absent in replies from daemons predating the dedicated `U` counters: zero.
-        subsumption_hits: v.usize_field("subsumption_hits").unwrap_or(0),
-        subsumption_misses: v.usize_field("subsumption_misses").unwrap_or(0),
-        lock_acquisitions: usize_field(v, "lock_acquisitions")?,
-        // Absent in replies from pre-v6 daemons: tolerate rather than refuse.
-        disk_lock_acquisitions: usize_field(v, "disk_lock_acquisitions").unwrap_or(0),
-    })
+    let mut snapshot = CacheStatsSnapshot::default();
+    read_counters(v, snapshot.counters_mut())?;
+    Ok(snapshot)
 }
 
 impl ResponseEnvelope {
@@ -909,16 +850,17 @@ mod tests {
             sat_queries: 12,
             sat_time: Duration::from_secs_f64(0.125),
             fa_inclusions: 3,
-            avg_fa_size: 17.5,
             fa_time: Duration::from_nanos(41_678_921),
             total_time: Duration::from_secs_f64(1.0 / 3.0),
             assumed_preconditions: 0,
             cache_hits: 40,
             cache_misses: 2,
+            minterms: 13,
             enum_queries: 9,
             pruned_subtrees: 4,
             minterm_memo_hits: 5,
             inclusion_memo_hits: 1,
+            dfas_built: 4,
             dfa_states: 23,
             dfa_transitions: 61,
             alphabet_pruned: 2,
@@ -956,6 +898,45 @@ mod tests {
         let text = env.to_json().to_string();
         let back = ResponseEnvelope::parse(&text).expect("parses");
         assert_eq!(back, env, "durations and floats must survive the wire");
+    }
+
+    #[test]
+    fn every_counter_key_is_required() {
+        for name in CheckStats::NAMES {
+            let mut v = stats_to_json(&sample_stats());
+            let Json::Obj(fields) = &mut v else {
+                unreachable!("stats serialise as an object")
+            };
+            fields.retain(|(k, _)| k != name);
+            let err = stats_from_json(&v).expect_err("a missing counter must be refused");
+            assert!(err.contains(name), "{err}");
+        }
+        for name in CacheStatsSnapshot::NAMES {
+            let mut v = snapshot_to_json(&CacheStatsSnapshot::default());
+            let Json::Obj(fields) = &mut v else {
+                unreachable!("snapshots serialise as an object")
+            };
+            fields.retain(|(k, _)| k != name);
+            let err = snapshot_from_json(&v).expect_err("a missing counter must be refused");
+            assert!(err.contains(name), "{err}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_durations_are_refused_not_panicked_on() {
+        let done = |wall: &str| {
+            format!(
+                "{{\"id\":1,\"type\":\"done\",\"wall\":{wall},\"jobs\":0,\"cancelled\":0,\
+                 \"dedup_hits\":0,\"queue_wait_p50\":0.0,\"queue_wait_p95\":0.0,\"cache\":{}}}",
+                snapshot_to_json(&CacheStatsSnapshot::default())
+            )
+        };
+        let ok = ResponseEnvelope::parse(&done("2.5")).expect("a valid frame parses");
+        assert!(matches!(ok.response, Response::Done { wall, .. } if wall.as_secs_f64() == 2.5));
+        for wall in ["-1.0", "1e20", "1e400"] {
+            let err = ResponseEnvelope::parse(&done(wall)).expect_err("must be refused");
+            assert!(err.contains("not a valid duration"), "{wall}: {err}");
+        }
     }
 
     #[test]

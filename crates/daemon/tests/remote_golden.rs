@@ -17,7 +17,7 @@
 use hat_daemon::frame::{read_frame, write_frame, MAX_RESPONSE_FRAME};
 use hat_daemon::{
     Addr, Daemon, DaemonConfig, Envelope, Hello, Listener, RemoteClient, Request, Response, Stream,
-    CACHE_VERSION,
+    CACHE_VERSION, PROTOCOL_VERSION, SERVER_NAME,
 };
 use hat_engine::EngineConfig;
 use std::collections::BTreeMap;
@@ -380,7 +380,7 @@ fn version_skew_is_rejected_with_a_clear_message() {
     let server = std::thread::spawn(move || {
         let mut conn = listener.accept().expect("accepts");
         let stale = format!(
-            "{{\"server\":\"marpled v2\",\"protocol\":2,\"cache_version\":{},\"pid\":1}}",
+            "{{\"server\":\"{SERVER_NAME}\",\"protocol\":{PROTOCOL_VERSION},\"cache_version\":{},\"pid\":1}}",
             CACHE_VERSION - 1
         );
         write_frame(&mut conn, &stale).expect("writes");

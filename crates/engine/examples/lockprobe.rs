@@ -11,9 +11,9 @@
 //! of a key, which crosses the shared tier once in any read-through design.
 //!
 //! The full-suite evidence for the lock-reduction claim lives in
-//! `BENCH_engine.json` (`lock_reduction` table, written by the `table1` binary);
-//! this probe is the quick way to see *which kind's* traffic a tier-policy change
-//! moves.
+//! `BENCH_engine.json` (the `jobs=6` shared-only and read-through runs written by
+//! the `table1` binary); this probe is the quick way to see *which kind's* traffic a
+//! tier-policy change moves.
 
 fn main() {
     let benches: Vec<_> = hat_suite::all_benchmarks()

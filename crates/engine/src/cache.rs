@@ -218,39 +218,40 @@ fn parse_record(line: &str) -> Option<(RecordKind, &str, MemoValue)> {
     Some((kind, key, value))
 }
 
-/// A point-in-time snapshot of the store counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStatsSnapshot {
-    /// Queries answered from a memo tier (local, shared or disk).
-    pub hits: usize,
-    /// Queries that missed every tier and had to be solved.
-    pub misses: usize,
-    /// Entries replayed from segments (or a legacy log) at startup.
-    pub disk_loaded: usize,
-    /// Disk lines, segments (by record count) or whole files ignored as unreadable or
-    /// from another version.
-    pub stale: usize,
-    /// Alphabet transformations answered from the minterm-set memo.
-    pub minterm_hits: usize,
-    /// Alphabet transformations that had to be enumerated.
-    pub minterm_misses: usize,
-    /// DFA transitions answered from the transition memo.
-    pub transition_hits: usize,
-    /// DFA transitions that had to be derived.
-    pub transition_misses: usize,
-    /// Simulation-subsumption orders answered from the `U` memo.
-    pub subsumption_hits: usize,
-    /// Simulation-subsumption probes that missed the `U` memo (the walk falls back to
-    /// its local fixpoint — no solver query is implied, which is why these are counted
-    /// apart from [`misses`](CacheStatsSnapshot::misses)).
-    pub subsumption_misses: usize,
-    /// Shared-tier shard-lock acquisitions, across every record kind. Per-worker local
-    /// tiers exist to keep this flat while hit counts grow.
-    pub lock_acquisitions: usize,
-    /// Disk-tier lock acquisitions (read-through fallbacks and promotions). The
-    /// background LSM thread never contributes here — asserted in
-    /// `engine/tests/tiers.rs`.
-    pub disk_lock_acquisitions: usize,
+hat_sfa::counters! {
+    /// A point-in-time snapshot of the store counters (or the delta between two).
+    pub struct CacheStatsSnapshot {
+        /// Queries answered from a memo tier (local, shared or disk).
+        hits: usize,
+        /// Queries that missed every tier and had to be solved.
+        misses: usize,
+        /// Entries replayed from segments (or a legacy log) at startup.
+        disk_loaded: usize,
+        /// Disk lines, segments (by record count) or whole files ignored as unreadable or
+        /// from another version.
+        stale: usize,
+        /// Alphabet transformations answered from the minterm-set memo.
+        minterm_hits: usize,
+        /// Alphabet transformations that had to be enumerated.
+        minterm_misses: usize,
+        /// DFA transitions answered from the transition memo.
+        transition_hits: usize,
+        /// DFA transitions that had to be derived.
+        transition_misses: usize,
+        /// Simulation-subsumption orders answered from the `U` memo.
+        subsumption_hits: usize,
+        /// Simulation-subsumption probes that missed the `U` memo (the walk falls back to
+        /// its local fixpoint — no solver query is implied, which is why these are counted
+        /// apart from [`misses`](CacheStatsSnapshot::misses)).
+        subsumption_misses: usize,
+        /// Shared-tier shard-lock acquisitions, across every record kind. Per-worker local
+        /// tiers exist to keep this flat while hit counts grow.
+        lock_acquisitions: usize,
+        /// Disk-tier lock acquisitions (read-through fallbacks and promotions). The
+        /// background LSM thread never contributes here — asserted in
+        /// `engine/tests/tiers.rs`.
+        disk_lock_acquisitions: usize,
+    }
 }
 
 impl CacheStatsSnapshot {

@@ -44,7 +44,7 @@
 use crate::cache::{CacheStatsSnapshot, MemoStore};
 use crate::oracle::CachingOracle;
 use crate::tier::LocalTier;
-use hat_core::{Checker, MethodReport};
+use hat_core::{CheckStats, Checker, MethodReport};
 use hat_sfa::{EnumerationMode, InclusionMode, SubsumptionMode};
 use hat_suite::Benchmark;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -115,8 +115,6 @@ pub struct BenchmarkRun {
     /// One report per method, in method order. A cancelled run may hold fewer reports
     /// than the benchmark has methods — the missing tail was never executed.
     pub reports: Vec<MethodReport>,
-    /// Summed per-method verification time (CPU-side; wall clock shrinks with `jobs`).
-    pub check_time: Duration,
 }
 
 impl BenchmarkRun {
@@ -129,110 +127,9 @@ impl BenchmarkRun {
             .all(|(m, r)| r.verified == m.expect_verified)
     }
 
-    /// Total SMT queries issued by this benchmark's methods.
-    pub fn sat_queries(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.sat_queries).sum()
-    }
-
-    /// Total cache hits recorded by this benchmark's methods.
-    pub fn cache_hits(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.cache_hits).sum()
-    }
-
-    /// Total cache misses (queries that reached a solver).
-    pub fn cache_misses(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.cache_misses).sum()
-    }
-
-    /// Total incremental enumeration checks issued by this benchmark's methods.
-    pub fn enum_queries(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.enum_queries).sum()
-    }
-
-    /// Total pruned enumeration subtrees across this benchmark's methods.
-    pub fn pruned_subtrees(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.pruned_subtrees).sum()
-    }
-
-    /// Total alphabet transformations answered from the minterm-set memo.
-    pub fn minterm_memo_hits(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.minterm_memo_hits).sum()
-    }
-
-    /// Total inclusion checks answered from the inclusion-verdict memo.
-    pub fn inclusion_memo_hits(&self) -> usize {
-        self.reports
-            .iter()
-            .map(|r| r.stats.inclusion_memo_hits)
-            .sum()
-    }
-
-    /// Total DFA states constructed by this benchmark's methods.
-    pub fn dfa_states(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.dfa_states).sum()
-    }
-
-    /// Total DFA transitions constructed by this benchmark's methods.
-    pub fn dfa_transitions(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.dfa_transitions).sum()
-    }
-
-    /// Total alphabet symbols dropped by per-group pruning.
-    pub fn alphabet_pruned(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.alphabet_pruned).sum()
-    }
-
-    /// Total DFA transitions answered from the transition memo.
-    pub fn transition_memo_hits(&self) -> usize {
-        self.reports
-            .iter()
-            .map(|r| r.stats.transition_memo_hits)
-            .sum()
-    }
-
-    /// Total product states discovered by on-the-fly inclusion walks.
-    pub fn product_states(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.product_states).sum()
-    }
-
-    /// Total per-group product walks answered from the DFA-shape memo.
-    pub fn shape_memo_hits(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.shape_memo_hits).sum()
-    }
-
-    /// Total antichain subsumption probes issued by on-the-fly product walks.
-    pub fn subsumption_checks(&self) -> usize {
-        self.reports
-            .iter()
-            .map(|r| r.stats.subsumption_checks)
-            .sum()
-    }
-
-    /// Total product pairs dropped by antichain subsumption before exploration.
-    pub fn subsumed_pairs(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.subsumed_pairs).sum()
-    }
-
-    /// Total simulation-preorder probes answered from the subsumption memo.
-    pub fn simulation_memo_hits(&self) -> usize {
-        self.reports
-            .iter()
-            .map(|r| r.stats.simulation_memo_hits)
-            .sum()
-    }
-
-    /// Total shared-tier shard-lock acquisitions by this benchmark's methods. With
-    /// local read-through tiers enabled, repeat lookups are absorbed lock-free and this
-    /// number drops while hit counts stay.
-    pub fn shared_tier_locks(&self) -> usize {
-        self.reports.iter().map(|r| r.stats.shared_tier_locks).sum()
-    }
-
-    /// Total solver work: standalone SMT queries plus incremental enumeration checks.
-    /// This is the number to compare across enumeration modes (naive enumeration issues
-    /// standalone queries; incremental enumeration issues scoped checks).
-    pub fn total_solver_work(&self) -> usize {
-        self.sat_queries() + self.enum_queries()
+    /// This benchmark's counters: every method report's, summed.
+    pub fn stats(&self) -> CheckStats {
+        self.reports.iter().map(|r| r.stats).sum()
     }
 }
 
@@ -260,6 +157,12 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
+    /// The whole run's method counters, summed over every benchmark. Its `total_time`
+    /// is CPU-side verification time; wall clock shrinks with `jobs`.
+    pub fn stats(&self) -> CheckStats {
+        self.benchmarks.iter().map(BenchmarkRun::stats).sum()
+    }
+
     /// Whether any job of this run was dropped by cancellation.
     pub fn was_cancelled(&self) -> bool {
         self.cancelled > 0
@@ -801,58 +704,26 @@ impl RunHandle<'_> {
                 adt: adt.clone(),
                 library: library.clone(),
                 reports: Vec::with_capacity(*methods),
-                check_time: Duration::ZERO,
             })
             .collect();
         for (&(b, _), slot) in self.jobs.iter().zip(&mut self.slots) {
             let Some(report) = slot.take() else {
                 continue; // cancelled before a worker took it
             };
-            results[b].check_time += report.stats.total_time;
             results[b].reports.push(report);
         }
         self.waits.sort_unstable();
         let queue_wait_p50 = percentile(&self.waits, 50.0);
         let queue_wait_p95 = percentile(&self.waits, 95.0);
         self.engine.cache.flush();
-        let after = self.engine.cache.stats();
-        let stats_before = self.stats_before;
         RunSummary {
             benchmarks: results,
             wall: self.start.elapsed(),
-            cache: CacheStatsSnapshot {
-                // Saturating: with several concurrent submissions against one engine
-                // (the daemon), another run's compaction-free counters only grow, but
-                // per-run deltas must never underflow.
-                hits: after.hits.saturating_sub(stats_before.hits),
-                misses: after.misses.saturating_sub(stats_before.misses),
-                // Disk replay happens at engine construction, so these deltas are 0 for
-                // every run; lifetime values live in `Engine::cache().stats()`.
-                disk_loaded: after.disk_loaded.saturating_sub(stats_before.disk_loaded),
-                stale: after.stale.saturating_sub(stats_before.stale),
-                minterm_hits: after.minterm_hits.saturating_sub(stats_before.minterm_hits),
-                minterm_misses: after
-                    .minterm_misses
-                    .saturating_sub(stats_before.minterm_misses),
-                transition_hits: after
-                    .transition_hits
-                    .saturating_sub(stats_before.transition_hits),
-                transition_misses: after
-                    .transition_misses
-                    .saturating_sub(stats_before.transition_misses),
-                subsumption_hits: after
-                    .subsumption_hits
-                    .saturating_sub(stats_before.subsumption_hits),
-                subsumption_misses: after
-                    .subsumption_misses
-                    .saturating_sub(stats_before.subsumption_misses),
-                lock_acquisitions: after
-                    .lock_acquisitions
-                    .saturating_sub(stats_before.lock_acquisitions),
-                disk_lock_acquisitions: after
-                    .disk_lock_acquisitions
-                    .saturating_sub(stats_before.disk_lock_acquisitions),
-            },
+            // Saturating: with several concurrent submissions against one engine (the
+            // daemon), per-run deltas must never underflow. Disk replay happens at
+            // engine construction, so `disk_loaded`/`stale` deltas are 0 for every run;
+            // lifetime values live in `Engine::cache().stats()`.
+            cache: self.engine.cache.stats() - self.stats_before,
             cancelled: self.cancelled,
             dedup_hits: self.dedup_hits,
             queue_wait_p50,
@@ -1116,20 +987,20 @@ mod tests {
         assert_eq!(verdicts(&unpruned), verdicts(&pruned));
         for (u, p) in unpruned.benchmarks.iter().zip(&pruned.benchmarks) {
             assert_eq!(
-                u.dfa_states(),
-                p.dfa_states(),
+                u.stats().dfa_states,
+                p.stats().dfa_states,
                 "{}/{}: pruning changed the reachable DFA state set",
                 u.adt,
                 u.library
             );
             assert!(
-                p.dfa_transitions() <= u.dfa_transitions(),
+                p.stats().dfa_transitions <= u.stats().dfa_transitions,
                 "{}/{}: pruning produced more transitions",
                 u.adt,
                 u.library
             );
         }
-        let total_pruned: usize = pruned.benchmarks.iter().map(|b| b.alphabet_pruned()).sum();
+        let total_pruned = pruned.stats().alphabet_pruned;
         assert!(total_pruned > 0, "no benchmark exercised the pruner");
         // The caching oracle memoises transitions run-wide: a second pass over the same
         // benchmarks must answer every derivative from the memo.
@@ -1155,18 +1026,18 @@ mod tests {
         assert_eq!(verdicts(&materialised), verdicts(&onthefly));
         for (m, o) in materialised.benchmarks.iter().zip(&onthefly.benchmarks) {
             assert!(
-                o.dfa_transitions() <= m.dfa_transitions(),
+                o.stats().dfa_transitions <= m.stats().dfa_transitions,
                 "{}/{}: the walk derived more transitions than the complete builds",
                 m.adt,
                 m.library
             );
             assert_eq!(
-                m.product_states(),
+                m.stats().product_states,
                 0,
                 "materialised runs must not report product states"
             );
         }
-        let total_product: usize = onthefly.benchmarks.iter().map(|b| b.product_states()).sum();
+        let total_product = onthefly.stats().product_states;
         assert!(total_product > 0, "no benchmark exercised the product walk");
         // A second pass over the same benchmarks is answered from the memo hierarchy
         // (inclusion-verdict hits shadow shape hits for α-equal whole checks).

@@ -99,7 +99,7 @@ fn warm_run_after_compact_reports_zero_solver_queries_and_identical_verdicts() {
             warm.cache.misses, 0,
             "{name}: every solver query of the warm run must hit the compacted log"
         );
-        let warm_enum: usize = warm.benchmarks.iter().map(|b| b.enum_queries()).sum();
+        let warm_enum = warm.stats().enum_queries;
         assert_eq!(
             warm_enum, 0,
             "{name}: minterm sets must replay from the compacted log (no enumeration)"

@@ -69,21 +69,13 @@ fn jobs6_local_tier_promotion_never_changes_a_verdict() {
 fn jobs6_read_through_tiers_cut_shared_lock_traffic() {
     let shared_only = run(6, false);
     let read_through = run(6, true);
-    let shared_locks: usize = shared_only
-        .benchmarks
-        .iter()
-        .map(|b| b.shared_tier_locks())
-        .sum();
-    let tiered_locks: usize = read_through
-        .benchmarks
-        .iter()
-        .map(|b| b.shared_tier_locks())
-        .sum();
+    let shared_locks = shared_only.stats().shared_tier_locks;
+    let tiered_locks = read_through.stats().shared_tier_locks;
     assert!(shared_locks > 0, "the shared-only run must count its locks");
     // On this deliberately tiny suite each worker sees only a couple of methods, so
     // most lookups are a worker's *first* sight of a key (which must go shared once in
     // any design); assert a strict reduction here and leave the default-suite
-    // figure to the measurement (`lock_reduction` in BENCH_engine.json).
+    // figure to the measurement (the jobs=6 runs in BENCH_engine.json).
     assert!(
         tiered_locks * 4 <= shared_locks * 3,
         "local tiers should absorb a meaningful share of the shard-lock traffic even \

@@ -1,27 +1,25 @@
-//! Regression guard for antichain subsumption on the committed corpus: the total
-//! number of product pairs the default (`--subsume simulation`) walk enqueues across
-//! all 64 configurations must never exceed the recorded baseline
-//! (`tests/corpus_product_states.txt`). The differential harness proves pruning is
-//! sound and monotone against `--subsume off` *within one build*; this guard pins the
-//! absolute number across builds, so a refactor that silently stops the pruning from
-//! firing (verdicts stay right, the walk just grows back) fails CI instead of
-//! vanishing into a wall-clock regression.
+//! Work-counter golden for the committed corpus: the totals of every count in the
+//! `CheckStats` schema, summed over all 64 configurations checked by a plain
+//! (uncached) checker in the default modes, must equal the recorded baseline
+//! (`tests/corpus_work_counters.txt`, one `name total` line per counter). These
+//! counters are deterministic, so the guard can fail where wall clock cannot: a
+//! refactor that silently stops subsumption or alphabet pruning from firing keeps
+//! verdicts right but grows `product_states` or `dfa_transitions`, and one that
+//! changes enumeration moves `enum_queries` or `sat_queries`. Timings are not pinned.
 //!
-//! If a change legitimately shrinks the walk further, re-record with
+//! If a change legitimately moves a counter, re-record with
 //! `UPDATE_BASELINE=1 cargo test -p hat-gen --test product_states_guard`.
 
+use hat_core::CheckStats;
+use hat_sfa::Counter;
+
 #[test]
-fn corpus_product_states_do_not_exceed_the_recorded_baseline() {
+fn corpus_work_counters_match_the_recorded_baseline() {
     let baseline_path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/corpus_product_states.txt"
+        "/tests/corpus_work_counters.txt"
     );
-    let recorded: usize = std::fs::read_to_string(baseline_path)
-        .expect("committed baseline file")
-        .trim()
-        .parse()
-        .expect("the baseline file holds one integer");
-    let mut total = 0usize;
+    let mut total = CheckStats::default();
     for bench in hat_gen::corpus() {
         let mut checker = hat_core::Checker::new(bench.delta.clone());
         assert_eq!(
@@ -33,25 +31,31 @@ fn corpus_product_states_do_not_exceed_the_recorded_baseline() {
             let report = checker
                 .check_method(&m.sig, &m.body)
                 .unwrap_or_else(|e| panic!("{}/{}: {e}", bench.adt, bench.library));
-            total += report.stats.product_states;
+            total += report.stats;
         }
     }
+    let measured: String = total
+        .counters()
+        .filter_map(|(name, counter)| match counter {
+            Counter::Count(n) => Some(format!("{name} {n}\n")),
+            Counter::Time(_) => None,
+        })
+        .collect();
     if std::env::var_os("UPDATE_BASELINE").is_some() {
-        std::fs::write(baseline_path, format!("{total}\n")).expect("baseline rewritten");
+        std::fs::write(baseline_path, &measured).expect("baseline rewritten");
         return;
     }
-    assert!(
-        total <= recorded,
-        "the corpus walk enqueued {total} product pairs, above the recorded baseline \
-         of {recorded}: subsumption stopped pruning somewhere (re-record with \
-         UPDATE_BASELINE=1 only if the growth is intended)"
-    );
-    // An implausibly small number means the corpus stopped exercising the walk at
-    // all, which would hollow the guard out silently.
-    assert!(
-        total >= recorded / 2,
-        "the corpus walk enqueued only {total} product pairs against a baseline of \
-         {recorded} — if a real improvement halved the walk, re-record the baseline \
-         so the guard stays tight"
+    let recorded = std::fs::read_to_string(baseline_path).expect("committed baseline file");
+    for (want, got) in recorded.lines().zip(measured.lines()) {
+        assert_eq!(
+            got, want,
+            "a corpus work counter moved (measured vs recorded `name total`): re-record \
+             with UPDATE_BASELINE=1 only if the change is intended"
+        );
+    }
+    assert_eq!(
+        recorded.lines().count(),
+        measured.lines().count(),
+        "the baseline must pin every count in the schema, in schema order"
     );
 }

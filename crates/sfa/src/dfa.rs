@@ -17,6 +17,7 @@
 
 use crate::ast::{Sfa, SymbolicEvent};
 use crate::minterm::Minterm;
+use crate::stats::CheckStats;
 use crate::subsume::{Subsumer, SubsumptionMode};
 use hat_logic::Formula;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -254,10 +255,6 @@ impl LazySide {
 pub struct ProductRun {
     /// Whether `L(A) ⊆ L(B)` over the given alphabet (no accepting product state).
     pub included: bool,
-    /// Distinct product states the walk explored (enqueued) before it finished or
-    /// exited early. Pairs dropped by subsumption are not counted — under
-    /// [`SubsumptionMode::Off`] this is exactly the number of distinct pairs derived.
-    pub product_states: usize,
     /// Residual states of `A` discovered by the frontier.
     pub left_states: usize,
     /// Residual states of `B` discovered by the frontier.
@@ -266,12 +263,11 @@ pub struct ProductRun {
     pub left_transitions: usize,
     /// Transitions derived on `B`'s side.
     pub right_transitions: usize,
-    /// Candidate-pair × antichain-member subsumption comparisons performed.
-    pub subsumption_checks: usize,
-    /// Derived pairs dropped because a visited pair subsumes them.
-    pub subsumed_pairs: usize,
-    /// Simulation verdicts answered from the persistent memo.
-    pub simulation_memo_hits: usize,
+    /// The walk's counters: `product_states` — distinct product states explored
+    /// (enqueued) before the walk finished or exited early, not counting pairs dropped
+    /// by subsumption, so under [`SubsumptionMode::Off`] exactly the distinct pairs
+    /// derived — and the subsumption counters. The other counters stay zero.
+    pub stats: CheckStats,
 }
 
 /// Decides `L(a) ⊆ L(b)` over the minterm alphabet by on-the-fly emptiness of the
@@ -360,14 +356,14 @@ pub fn product_included_with(
     }
     Ok(ProductRun {
         included,
-        product_states: antichain.len(),
         left_states: left.num_states(),
         right_states: right.num_states(),
         left_transitions: left.num_transitions(),
         right_transitions: right.num_transitions(),
-        subsumption_checks: subsumer.stats.subsumption_checks,
-        subsumed_pairs: subsumer.stats.subsumed_pairs,
-        simulation_memo_hits: subsumer.stats.simulation_memo_hits,
+        stats: CheckStats {
+            product_states: antichain.len(),
+            ..subsumer.stats
+        },
     })
 }
 

@@ -54,6 +54,7 @@ use crate::dfa::{product_included_with, Dfa, DfaBuildError, TransitionOracle};
 use crate::minterm::{
     arg_name, build_minterms_with, res_name, EnumerationMode, LiteralPool, Minterm, MintermSet,
 };
+use crate::stats::CheckStats;
 use crate::subsume::SubsumptionMode;
 use hat_logic::{Atom, Formula, Ident, ScopedSession, Sort};
 use std::borrow::Cow;
@@ -322,85 +323,6 @@ impl SolverOracle for hat_logic::Solver {
         literals: &[Atom],
     ) -> Option<ScopedSession<'a>> {
         Some(self.scoped(vars, base, literals))
-    }
-}
-
-/// Work counters for inclusion checking, matching the evaluation columns of the paper.
-#[derive(Debug, Clone, Default)]
-pub struct InclusionStats {
-    /// Number of automaton-pair inclusion checks performed (`#FA⊆`).
-    pub fa_inclusions: usize,
-    /// Number of DFAs constructed.
-    pub dfas_built: usize,
-    /// Total number of transitions across constructed DFAs (for `avg. s_FA`).
-    pub fa_transitions: usize,
-    /// Total number of states across constructed DFAs.
-    pub fa_states: usize,
-    /// Number of satisfiable minterms constructed.
-    pub minterms: usize,
-    /// Number of incremental enumeration checks issued during minterm construction
-    /// (0 when enumeration runs naively; those queries show up in the oracle's count).
-    pub enum_queries: usize,
-    /// Number of unsatisfiable enumeration branches abandoned (pruned subtrees).
-    pub pruned_subtrees: usize,
-    /// Number of alphabet transformations answered from the minterm-set memo.
-    pub minterm_memo_hits: usize,
-    /// Number of whole inclusion checks answered from the inclusion-verdict memo.
-    pub inclusion_memo_hits: usize,
-    /// Number of alphabet symbols dropped by per-group pruning before product
-    /// construction (minterms whose transition behaviour another symbol of the same
-    /// group already exhibits).
-    pub alphabet_pruned: usize,
-    /// Number of DFA transitions answered from the run-wide transition memo instead of
-    /// being derived.
-    pub transition_memo_hits: usize,
-    /// Number of distinct product states discovered by on-the-fly walks (0 when every
-    /// group ran materialised). A failing walk stops at the first accepting pair, so
-    /// this is the number to compare against `fa_states` for early-exit savings.
-    pub product_states: usize,
-    /// Number of per-group product walks answered from the shape memo instead of being
-    /// walked.
-    pub shape_memo_hits: usize,
-    /// Number of candidate-pair × antichain-member subsumption comparisons performed by
-    /// on-the-fly walks (0 under [`SubsumptionMode::Off`]).
-    pub subsumption_checks: usize,
-    /// Number of derived product pairs dropped because a visited pair subsumed them.
-    pub subsumed_pairs: usize,
-    /// Number of simulation-subsumption verdicts answered from the persistent memo.
-    pub simulation_memo_hits: usize,
-    /// Total wall-clock time spent inside inclusion checking (includes solver time).
-    pub time: Duration,
-}
-
-impl InclusionStats {
-    /// Average number of transitions per constructed DFA (the paper's `avg. s_FA`).
-    pub fn avg_fa_size(&self) -> f64 {
-        if self.dfas_built == 0 {
-            0.0
-        } else {
-            self.fa_transitions as f64 / self.dfas_built as f64
-        }
-    }
-
-    /// Merges another stats record into this one.
-    pub fn merge(&mut self, other: &InclusionStats) {
-        self.fa_inclusions += other.fa_inclusions;
-        self.dfas_built += other.dfas_built;
-        self.fa_transitions += other.fa_transitions;
-        self.fa_states += other.fa_states;
-        self.minterms += other.minterms;
-        self.enum_queries += other.enum_queries;
-        self.pruned_subtrees += other.pruned_subtrees;
-        self.minterm_memo_hits += other.minterm_memo_hits;
-        self.inclusion_memo_hits += other.inclusion_memo_hits;
-        self.alphabet_pruned += other.alphabet_pruned;
-        self.transition_memo_hits += other.transition_memo_hits;
-        self.product_states += other.product_states;
-        self.shape_memo_hits += other.shape_memo_hits;
-        self.subsumption_checks += other.subsumption_checks;
-        self.subsumed_pairs += other.subsumed_pairs;
-        self.simulation_memo_hits += other.simulation_memo_hits;
-        self.time += other.time;
     }
 }
 
@@ -673,8 +595,9 @@ pub struct InclusionChecker {
     /// [`crate::subsume`]; simulation by default, verdict-identical in every mode).
     /// Ignored by [`InclusionMode::Materialise`], which is the unpruned baseline.
     pub subsume: SubsumptionMode,
-    /// Accumulated statistics.
-    pub stats: InclusionStats,
+    /// Running totals of the counters inclusion checking owns (the oracle readings
+    /// stay zero here; `fa_time` includes solver time).
+    pub stats: CheckStats,
 }
 
 impl InclusionChecker {
@@ -687,7 +610,7 @@ impl InclusionChecker {
             prune: true,
             mode: InclusionMode::default(),
             subsume: SubsumptionMode::default(),
-            stats: InclusionStats::default(),
+            stats: CheckStats::default(),
         }
     }
 
@@ -701,7 +624,7 @@ impl InclusionChecker {
     ) -> Result<bool, DfaBuildError> {
         let start = Instant::now();
         let result = self.check_inner(ctx, a, b, oracle);
-        self.stats.time += start.elapsed();
+        self.stats.fa_time += start.elapsed();
         result
     }
 
@@ -787,21 +710,18 @@ impl InclusionChecker {
                         self.max_states,
                         self.subsume,
                     )?;
+                    self.stats += run.stats;
                     self.stats.dfas_built += 2;
-                    self.stats.fa_states += run.left_states + run.right_states;
-                    self.stats.fa_transitions += run.left_transitions + run.right_transitions;
-                    self.stats.product_states += run.product_states;
-                    self.stats.subsumption_checks += run.subsumption_checks;
-                    self.stats.subsumed_pairs += run.subsumed_pairs;
-                    self.stats.simulation_memo_hits += run.simulation_memo_hits;
+                    self.stats.dfa_states += run.left_states + run.right_states;
+                    self.stats.dfa_transitions += run.left_transitions + run.right_transitions;
                     run.included
                 }
                 InclusionMode::Materialise => {
                     let da = Dfa::build(a, &alphabet, &mut matcher, self.max_states)?;
                     let db = Dfa::build(b, &alphabet, &mut matcher, self.max_states)?;
                     self.stats.dfas_built += 2;
-                    self.stats.fa_states += da.num_states() + db.num_states();
-                    self.stats.fa_transitions += da.num_transitions() + db.num_transitions();
+                    self.stats.dfa_states += da.num_states() + db.num_states();
+                    self.stats.dfa_transitions += da.num_transitions() + db.num_transitions();
                     da.included_in(&db).is_ok()
                 }
             };
@@ -1093,10 +1013,10 @@ mod tests {
         let never = Sfa::globally(Sfa::not(ins_el()));
         let _ = checker.check(&ctx_el(), &never, &inv, &mut solver).unwrap();
         assert!(checker.stats.dfas_built >= 2);
-        assert!(checker.stats.fa_transitions > 0);
+        assert!(checker.stats.dfa_transitions > 0);
         assert!(checker.stats.avg_fa_size() > 0.0);
-        let mut other = InclusionStats::default();
-        other.merge(&checker.stats);
+        let mut other = CheckStats::default();
+        other += checker.stats;
         assert_eq!(other.fa_inclusions, checker.stats.fa_inclusions);
     }
 }

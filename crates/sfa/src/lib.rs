@@ -18,7 +18,9 @@
 //!   Algorithm 1 of the paper (including its use of SMT queries to keep only satisfiable
 //!   minterms), deciding each per-group problem on the fly by default
 //!   ([`InclusionMode`]), with antichain subsumption pruning the product frontier
-//!   ([`SubsumptionMode`]).
+//!   ([`SubsumptionMode`]),
+//! * the work-counter schema ([`stats`]): the [`counters!`] declaration macro and
+//!   [`CheckStats`], the per-method counters every consumer iterates.
 
 pub mod accept;
 pub mod ast;
@@ -26,6 +28,7 @@ pub mod dfa;
 pub mod event;
 pub mod inclusion;
 pub mod minterm;
+pub mod stats;
 pub mod subsume;
 
 pub use accept::{accepts, TraceModel};
@@ -33,8 +36,8 @@ pub use ast::{OpSig, Sfa, SymbolicEvent};
 pub use dfa::{product_included, product_included_with, Dfa, DfaBuildError, ProductRun};
 pub use event::{Event, Trace};
 pub use inclusion::{
-    InclusionChecker, InclusionMode, InclusionStats, MemoAnswer, MemoKind, MemoQuery, SolverOracle,
-    VarCtx,
+    InclusionChecker, InclusionMode, MemoAnswer, MemoKind, MemoQuery, SolverOracle, VarCtx,
 };
 pub use minterm::{EnumerationMode, LiteralPool, Minterm, MintermSet};
-pub use subsume::{SubsumeStats, SubsumptionMode};
+pub use stats::{CheckStats, Counter, CounterField, CounterMut};
+pub use subsume::SubsumptionMode;

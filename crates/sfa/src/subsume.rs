@@ -41,6 +41,7 @@ use crate::ast::{Sfa, SymbolicEvent};
 use crate::dfa::{nullable, TransitionOracle};
 use crate::inclusion::eval_under;
 use crate::minterm::{arg_name, res_name, Minterm};
+use crate::stats::CheckStats;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// How the on-the-fly product walk prunes its frontier.
@@ -81,18 +82,6 @@ impl SubsumptionMode {
             SubsumptionMode::Simulation => "simulation",
         }
     }
-}
-
-/// Work counters of one subsumption-pruned walk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubsumeStats {
-    /// Number of candidate-pair × antichain-member subsumption comparisons.
-    pub subsumption_checks: usize,
-    /// Number of derived product pairs dropped because a visited pair subsumes them.
-    pub subsumed_pairs: usize,
-    /// Number of simulation verdicts answered from the persistent memo instead of being
-    /// recomputed by the local fixpoint.
-    pub simulation_memo_hits: usize,
 }
 
 /// Node-visit budget of one syntactic order query: the structural rules try several
@@ -263,7 +252,7 @@ impl SideOrder {
         gen: usize,
         mode: SubsumptionMode,
         oracle: &mut dyn TransitionOracle,
-        stats: &mut SubsumeStats,
+        stats: &mut CheckStats,
     ) -> bool {
         if i == j {
             return true;
@@ -505,7 +494,7 @@ pub(crate) struct Subsumer {
     mode: SubsumptionMode,
     left: SideOrder,
     right: SideOrder,
-    pub(crate) stats: SubsumeStats,
+    pub(crate) stats: CheckStats,
 }
 
 impl Subsumer {
@@ -674,7 +663,7 @@ mod tests {
             }
         }
         let mut order = SideOrder::default();
-        let mut stats = SubsumeStats::default();
+        let mut stats = CheckStats::default();
         // ◇⟨insert el⟩ ⊑ □⟨⊤⟩ — the universe simulates everything.
         assert!(order.leq(
             0,
@@ -716,7 +705,7 @@ mod tests {
             }
         }
         let mut order = SideOrder::default();
-        let mut stats = SubsumeStats::default();
+        let mut stats = CheckStats::default();
         // With no rows derived the query is pessimistically false...
         let no_rows: [Option<Vec<usize>>; 2] = [None, None];
         assert!(!order.leq(

@@ -48,11 +48,11 @@ fn pruned_construction_is_verdict_and_state_count_identical() {
             (u, p) => panic!("case {case}: one path errored: unpruned={u:?} pruned={p:?}"),
         }
         assert_eq!(
-            unpruned_checker.stats.fa_states, pruned_checker.stats.fa_states,
+            unpruned_checker.stats.dfa_states, pruned_checker.stats.dfa_states,
             "case {case}: pruning changed the reachable state set of {a} ⊆ {b}"
         );
         assert!(
-            pruned_checker.stats.fa_transitions <= unpruned_checker.stats.fa_transitions,
+            pruned_checker.stats.dfa_transitions <= unpruned_checker.stats.dfa_transitions,
             "case {case}: pruning produced more transitions"
         );
         assert_eq!(

@@ -74,11 +74,11 @@ fn onthefly_and_materialised_inclusion_are_verdict_identical() {
         // The lazy walk derives rows only for frontier-reached residual states, so it
         // can never do more construction work than the two complete builds.
         assert!(
-            otf_checker.stats.fa_states <= materialised_checker.stats.fa_states,
+            otf_checker.stats.dfa_states <= materialised_checker.stats.dfa_states,
             "case {case}: the walk discovered more states than the complete builds"
         );
         assert!(
-            otf_checker.stats.fa_transitions <= materialised_checker.stats.fa_transitions,
+            otf_checker.stats.dfa_transitions <= materialised_checker.stats.dfa_transitions,
             "case {case}: the walk derived more transitions than the complete builds"
         );
         assert_eq!(
@@ -129,16 +129,16 @@ fn failing_check_visits_strictly_fewer_product_states_than_the_dfa_pair() {
 
     assert!(onthefly.stats.product_states > 0, "the walk must have run");
     assert!(
-        onthefly.stats.product_states < materialised.stats.fa_states,
+        onthefly.stats.product_states < materialised.stats.dfa_states,
         "early exit must visit fewer product states ({}) than the materialised DFA pair \
          builds ({})",
         onthefly.stats.product_states,
-        materialised.stats.fa_states
+        materialised.stats.dfa_states
     );
     assert!(
-        onthefly.stats.fa_transitions < materialised.stats.fa_transitions,
+        onthefly.stats.dfa_transitions < materialised.stats.dfa_transitions,
         "early exit must derive fewer transitions ({}) than the complete builds ({})",
-        onthefly.stats.fa_transitions,
-        materialised.stats.fa_transitions
+        onthefly.stats.dfa_transitions,
+        materialised.stats.dfa_transitions
     );
 }

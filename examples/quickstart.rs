@@ -53,7 +53,7 @@ fn main() {
         "  SMT queries: {}, FA inclusions: {}, avg FA size: {:.1}, time: {:.2}s",
         report.stats.sat_queries,
         report.stats.fa_inclusions,
-        report.stats.avg_fa_size,
+        report.stats.avg_fa_size(),
         report.stats.total_time.as_secs_f64()
     );
 
