@@ -28,8 +28,8 @@ fn main() {
         {
             continue;
         }
-        let (_, reports) = table1_row(&bench);
-        for (m, r) in bench.methods.iter().zip(&reports) {
+        let (_, run) = table1_row(&bench);
+        for (m, r) in bench.methods.iter().zip(&run.reports) {
             println!(
                 "{:<15} {:<11} {:<20} {}",
                 bench.adt,

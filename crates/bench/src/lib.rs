@@ -2,25 +2,18 @@
 //!
 //! The benchmark harness that regenerates the evaluation artefacts of the paper:
 //! Table 1 (per-configuration summary), Table 2 (invariant catalogue) and Tables 3/4
-//! (per-method details), plus Criterion micro-benchmarks for the solver and the
-//! symbolic-automaton engine. The `table1` binary additionally runs the engine
-//! comparison ([`engine_comparison`]), the daemon trace replay ([`daemon_replay`]) and
-//! the mixed-traffic fairness replay ([`mixed_traffic_replay`]), measures the LSM
-//! cache backend ([`lsm_measurement`]) and writes `BENCH_engine.json` (schema
+//! (per-method details). The `table1` binary additionally runs the knob ablation
+//! ([`engine_comparison`]: the whole suite once per engine knob setting), checks every
+//! verdict of the table and of the ablation against the suite's expected outcomes
+//! ([`verdict_mismatches`]) and writes `BENCH_engine.json` (schema
 //! [`ENGINE_BENCH_SCHEMA`]).
 
 use hat_core::MethodReport;
 use hat_daemon::json::{obj, Json};
 use hat_daemon::proto::{counter_fields, snapshot_to_json};
-use hat_engine::{Engine, EngineConfig, RunSummary};
+use hat_engine::{BenchmarkRun, Engine, EngineConfig, RunSummary};
 use hat_sfa::{EnumerationMode, InclusionMode, SubsumptionMode};
 use hat_suite::Benchmark;
-
-mod daemon;
-
-pub use daemon::{
-    daemon_replay, mixed_traffic_replay, DaemonReplay, MixedTrafficReplay, ReplayPhase,
-};
 
 /// The aggregated row of Table 1 for one configuration.
 #[derive(Debug, Clone)]
@@ -37,24 +30,18 @@ pub struct Table1Row {
     pub invariant_size: usize,
     /// `t_total` column (seconds).
     pub total_seconds: f64,
-    /// Whether every non-buggy method verified and every buggy variant was rejected.
-    pub all_as_expected: bool,
     /// The most complex method's report (second half of Table 1).
     pub hardest: Option<MethodReport>,
 }
 
-/// Runs the checker over one configuration and summarises it as a Table 1 row.
-pub fn table1_row(bench: &Benchmark) -> (Table1Row, Vec<MethodReport>) {
+/// Runs the checker over one configuration and summarises it as a Table 1 row, next to
+/// every method's report.
+pub fn table1_row(bench: &Benchmark) -> (Table1Row, BenchmarkRun) {
     let reports = bench.check_all();
     let total: f64 = reports
         .iter()
         .map(|r| r.stats.total_time.as_secs_f64())
         .sum();
-    let all_as_expected = bench
-        .methods
-        .iter()
-        .zip(&reports)
-        .all(|(m, r)| r.verified == m.expect_verified);
     let hardest = bench
         .methods
         .iter()
@@ -69,14 +56,50 @@ pub fn table1_row(bench: &Benchmark) -> (Table1Row, Vec<MethodReport>) {
         ghosts: bench.ghost_count(),
         invariant_size: bench.invariant_size(),
         total_seconds: total,
-        all_as_expected,
         hardest,
     };
-    (row, reports)
+    let run = BenchmarkRun {
+        adt: row.adt.clone(),
+        library: row.library.clone(),
+        reports,
+    };
+    (row, run)
 }
 
-/// One measured engine configuration over the whole suite: its knob settings and what
-/// the run reported — wall time, cache deltas and every benchmark's method reports.
+/// Names every method in `results` whose verdict differs from the `expect_verified` of
+/// its configuration in `benches`, one line each: the run label, the configuration and
+/// the method. Panics when a result names a configuration `benches` does not hold.
+pub fn verdict_mismatches(
+    run: &str,
+    benches: &[Benchmark],
+    results: &[BenchmarkRun],
+) -> Vec<String> {
+    let outcome = |verified: bool| if verified { "verified" } else { "rejected" };
+    let mut mismatches = Vec::new();
+    for result in results {
+        let bench = benches
+            .iter()
+            .find(|b| b.adt == result.adt && b.library == result.library)
+            .expect("every result comes from a configuration in `benches`");
+        for (method, report) in bench.methods.iter().zip(&result.reports) {
+            if report.verified != method.expect_verified {
+                mismatches.push(format!(
+                    "{run}: {}/{} {} was {}, expected {}",
+                    result.adt,
+                    result.library,
+                    method.sig.name,
+                    outcome(report.verified),
+                    outcome(method.expect_verified)
+                ));
+            }
+        }
+    }
+    mismatches
+}
+
+/// One measured engine configuration over the suite: its knob settings, the
+/// configurations it left out, and what the run reported — wall time, cache deltas and
+/// every benchmark's method reports.
 #[derive(Debug, Clone)]
 pub struct EngineRun {
     /// Human-readable label, e.g. `jobs=1 cold unpruned`.
@@ -85,30 +108,30 @@ pub struct EngineRun {
     pub config: EngineConfig,
     /// Whether the run reused the cache an earlier run on the same engine populated.
     pub warm: bool,
+    /// `"ADT/Library"` names of the configurations this run left out: the `slow` ones,
+    /// under naive enumeration only. Never dropped silently.
+    pub skipped: Vec<String>,
     /// What the run reported.
     pub summary: RunSummary,
 }
 
-/// The result of [`engine_comparison`]: one run per knob setting, plus the names of
-/// any configurations that were excluded (never silently).
-#[derive(Debug, Clone)]
-pub struct EngineComparison {
-    /// The measured runs.
-    pub runs: Vec<EngineRun>,
-    /// `"ADT/Library"` names of configurations excluded from the comparison.
-    pub skipped: Vec<String>,
-}
-
-/// Exercises the `hat-engine` subsystem once per knob setting (see `ablation`).
-/// With `include_slow` false the configurations marked `slow` in the suite (whose
-/// minterm alphabets make a single cold naive run take tens of minutes) are excluded
-/// and recorded in [`EngineComparison::skipped`].
-pub fn engine_comparison(benches: &[Benchmark], include_slow: bool) -> EngineComparison {
-    let (included, skipped): (Vec<&Benchmark>, Vec<&Benchmark>) =
-        benches.iter().partition(|b| include_slow || !b.slow);
-    let included: Vec<Benchmark> = included.into_iter().cloned().collect();
+/// Exercises the `hat-engine` subsystem over `benches` once per knob setting (see
+/// `ablation`). Each run checks every configuration its own knob setting does not
+/// exclude, and names the rest in [`EngineRun::skipped`].
+pub fn engine_comparison(benches: &[Benchmark]) -> Vec<EngineRun> {
     let mut runs = Vec::new();
     for (name, config, warm_rerun) in ablation() {
+        // Only naive enumeration leaves out the configurations marked `slow`: a naive
+        // cold FileSystem/KVStore check takes about four minutes, while every other
+        // knob setting checks it in seconds.
+        let naive = config.enumeration == EnumerationMode::Naive;
+        let (skipped, included): (Vec<&Benchmark>, Vec<&Benchmark>) =
+            benches.iter().partition(|b| naive && b.slow);
+        let included: Vec<Benchmark> = included.into_iter().cloned().collect();
+        let skipped: Vec<String> = skipped
+            .into_iter()
+            .map(|b| format!("{}/{}", b.adt, b.library))
+            .collect();
         let engine = Engine::new(config.clone()).expect("in-memory engine");
         for warm in [false, true].into_iter().take(1 + usize::from(warm_rerun)) {
             let phase = if warm { "warm" } else { "cold" };
@@ -118,17 +141,12 @@ pub fn engine_comparison(benches: &[Benchmark], include_slow: bool) -> EngineCom
                     .to_string(),
                 config: config.clone(),
                 warm,
+                skipped: skipped.clone(),
                 summary: engine.check_benchmarks(&included),
             });
         }
     }
-    EngineComparison {
-        runs,
-        skipped: skipped
-            .into_iter()
-            .map(|b| format!("{}/{}", b.adt, b.library))
-            .collect(),
-    }
+    runs
 }
 
 /// Worker count of the lock-traffic comparison runs. Fixed (not derived from the host's
@@ -217,104 +235,15 @@ fn ablation() -> Vec<(&'static str, EngineConfig, bool)> {
     ]
 }
 
-/// The `lsm` section of `BENCH_engine.json`: background-flush and compaction
-/// counters from a suite-volume cold run over a deliberately small memtable, plus the
-/// warm-load latency of the resulting segment stack at its natural record volume and
-/// at ten times that volume (synthetic padding records).
-#[derive(Debug, Clone)]
-pub struct LsmMeasurement {
-    /// Frozen memtables flushed to segment files by the background thread.
-    pub flushes: usize,
-    /// Level-0 segment files written by those flushes.
-    pub segments_written: usize,
-    /// Input segments consumed by background merges.
-    pub segments_merged: usize,
-    /// Background merge passes.
-    pub compactions: usize,
-    /// Bytes written to segment files (flush + compaction) per byte of flushed data.
-    pub write_amplification: f64,
-    /// Records replayed by the 1x warm load.
-    pub records_1x: usize,
-    /// Wall-clock of a warm `MemoStore` open at the suite's natural record volume.
-    pub warm_load_ms_1x: f64,
-    /// Records replayed by the 10x warm load.
-    pub records_10x: usize,
-    /// Wall-clock of a warm open after padding the store to ten times the volume.
-    pub warm_load_ms_10x: f64,
-}
-
-/// Measures the LSM backend: a cold disk-backed run over the non-slow suite with a
-/// small memtable (so rotation and background compaction genuinely happen at suite
-/// volume), then timed warm loads at 1x and 10x record volume.
-pub fn lsm_measurement(benches: &[Benchmark], jobs: usize) -> LsmMeasurement {
-    let benches: Vec<Benchmark> = benches.iter().filter(|b| !b.slow).cloned().collect();
-    let mut path = std::env::temp_dir();
-    path.push(format!("hat-bench-lsm-{}", std::process::id()));
-    let cleanup = |p: &std::path::Path| {
-        let _ = std::fs::remove_file(p);
-        let _ = std::fs::remove_file(p.with_extension("compacting"));
-        let mut lock = p.to_path_buf().into_os_string();
-        lock.push(".lock");
-        let _ = std::fs::remove_file(std::path::PathBuf::from(lock));
-        let _ = std::fs::remove_dir_all(hat_engine::lsm::segment_dir_for(p));
-    };
-    cleanup(&path);
-    let engine = Engine::new(EngineConfig {
-        jobs,
-        cache_path: Some(path.clone()),
-        memtable_bytes: Some(64 * 1024),
-        ..EngineConfig::default()
-    })
-    .expect("disk-backed engine");
-    engine.check_benchmarks(&benches);
-    engine.cache().flush();
-    let stats = engine
-        .cache()
-        .lsm_stats()
-        .expect("a disk-backed store has an LSM backend");
-    drop(engine);
-
-    let start = std::time::Instant::now();
-    let store = hat_engine::MemoStore::with_disk_log(&path).expect("1x warm open");
-    let warm_load_ms_1x = start.elapsed().as_secs_f64() * 1e3;
-    let records_1x = store.stats().disk_loaded;
-    // Pad to ten times the natural volume; the synthetic verdicts replay exactly like
-    // real ones, so the 10x timing isolates pure segment-replay scaling.
-    for i in 0..records_1x.saturating_mul(9) {
-        store.insert(
-            hat_engine::RecordKind::Solver,
-            format!("sat|bench-pad{i}"),
-            (i % 2 == 0).into(),
-        );
-    }
-    drop(store);
-    let start = std::time::Instant::now();
-    let store = hat_engine::MemoStore::with_disk_log(&path).expect("10x warm open");
-    let warm_load_ms_10x = start.elapsed().as_secs_f64() * 1e3;
-    let records_10x = store.stats().disk_loaded;
-    drop(store);
-    cleanup(&path);
-    LsmMeasurement {
-        flushes: stats.flushes,
-        segments_written: stats.segments_written,
-        segments_merged: stats.segments_merged,
-        compactions: stats.compactions,
-        write_amplification: stats.write_amplification(),
-        records_1x,
-        warm_load_ms_1x,
-        records_10x,
-        warm_load_ms_10x,
-    }
-}
-
 /// The one schema version this writer knows how to lay out. Callers name the schema
 /// they want and the writer refuses anything else — bumping the layout without bumping
 /// the version string (or vice versa) becomes a hard error at the call site instead of
 /// a silently mislabelled artefact.
-pub const ENGINE_BENCH_SCHEMA: &str = "hat-engine-bench v10";
+pub const ENGINE_BENCH_SCHEMA: &str = "hat-engine-bench v11";
 
-/// One row of the runs table: the knob settings, the wall time, the run's cache
-/// counters and every benchmark's method counters, all by their schema names.
+/// One row of the runs table: the knob settings, the configurations the run left out,
+/// the wall time, the run's cache counters and every benchmark's method counters, all
+/// by their schema names.
 fn run_json(run: &EngineRun) -> Json {
     let config = &run.config;
     let enumeration = match config.enumeration {
@@ -342,94 +271,21 @@ fn run_json(run: &EngineRun) -> Json {
         ("inclusion", Json::Str(inclusion.into())),
         ("subsume", Json::Str(config.subsume.as_str().into())),
         ("local_tiers", Json::Bool(config.local_tiers)),
+        (
+            "skipped",
+            Json::Arr(run.skipped.iter().cloned().map(Json::Str).collect()),
+        ),
         ("wall_seconds", Json::Float(run.summary.wall.as_secs_f64())),
         ("cache", snapshot_to_json(&run.summary.cache)),
         ("benchmarks", Json::Arr(benchmarks.collect())),
     ])
 }
 
-fn replay_json(replay: &DaemonReplay) -> Json {
-    let phase = |p: &ReplayPhase| {
-        obj(vec![
-            ("requests", Json::Int(p.requests as i64)),
-            ("jobs", Json::Int(p.jobs as i64)),
-            ("wall_seconds", Json::Float(p.wall_seconds)),
-            ("requests_per_second", Json::Float(p.requests_per_second())),
-            ("p50_latency_seconds", Json::Float(p.p50_latency_seconds)),
-            ("p95_latency_seconds", Json::Float(p.p95_latency_seconds)),
-            ("cache", snapshot_to_json(&p.cache)),
-        ])
-    };
-    obj(vec![
-        ("workers", Json::Int(replay.workers as i64)),
-        ("cold", phase(&replay.cold)),
-        ("warm", phase(&replay.warm)),
-    ])
-}
-
-fn mixed_json(mixed: &MixedTrafficReplay) -> Json {
-    obj(vec![
-        ("workers", Json::Int(mixed.workers as i64)),
-        (
-            "background_clients",
-            Json::Int(mixed.background_clients as i64),
-        ),
-        (
-            "background_batches",
-            Json::Int(mixed.background_batches as i64),
-        ),
-        ("probes", Json::Int(mixed.probes as i64)),
-        (
-            "uncontended_p50_seconds",
-            Json::Float(mixed.uncontended_p50_seconds),
-        ),
-        (
-            "uncontended_p95_seconds",
-            Json::Float(mixed.uncontended_p95_seconds),
-        ),
-        (
-            "contended_p50_seconds",
-            Json::Float(mixed.contended_p50_seconds),
-        ),
-        (
-            "contended_p95_seconds",
-            Json::Float(mixed.contended_p95_seconds),
-        ),
-        (
-            "contention_ratio_p95",
-            Json::Float(mixed.contention_ratio_p95()),
-        ),
-        ("dedup_hits", Json::Int(mixed.dedup_hits as i64)),
-        ("queue_wait_p95_ms", Json::Float(mixed.queue_wait_p95_ms)),
-    ])
-}
-
-fn lsm_json(lsm: &LsmMeasurement) -> Json {
-    obj(vec![
-        ("flushes", Json::Int(lsm.flushes as i64)),
-        ("segments_written", Json::Int(lsm.segments_written as i64)),
-        ("segments_merged", Json::Int(lsm.segments_merged as i64)),
-        ("compactions", Json::Int(lsm.compactions as i64)),
-        ("write_amplification", Json::Float(lsm.write_amplification)),
-        ("records_1x", Json::Int(lsm.records_1x as i64)),
-        ("warm_load_ms_1x", Json::Float(lsm.warm_load_ms_1x)),
-        ("records_10x", Json::Int(lsm.records_10x as i64)),
-        ("warm_load_ms_10x", Json::Float(lsm.warm_load_ms_10x)),
-    ])
-}
-
-/// Serialises [`engine_comparison`], [`daemon_replay`], [`mixed_traffic_replay`] and
-/// [`lsm_measurement`] measurements through [`hat_daemon::json`]. `schema` must be
-/// exactly [`ENGINE_BENCH_SCHEMA`]; any other string is refused with
+/// Serialises [`engine_comparison`] runs through [`hat_daemon::json`]: the schema
+/// string and the runs table, nothing else. `schema` must be exactly
+/// [`ENGINE_BENCH_SCHEMA`]; any other string is refused with
 /// [`std::io::ErrorKind::InvalidInput`] before the file is touched.
-pub fn write_engine_json(
-    path: &str,
-    schema: &str,
-    comparison: &EngineComparison,
-    replay: Option<&DaemonReplay>,
-    mixed: Option<&MixedTrafficReplay>,
-    lsm: Option<&LsmMeasurement>,
-) -> std::io::Result<()> {
+pub fn write_engine_json(path: &str, schema: &str, runs: &[EngineRun]) -> std::io::Result<()> {
     if schema != ENGINE_BENCH_SCHEMA {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
@@ -439,17 +295,11 @@ pub fn write_engine_json(
             ),
         ));
     }
-    let skipped = comparison.skipped.iter().cloned().map(Json::Str).collect();
-    let mut fields = vec![
+    let json = obj(vec![
         ("schema", Json::Str(schema.to_string())),
-        ("skipped", Json::Arr(skipped)),
-    ];
-    fields.extend(replay.map(|r| ("daemon_replay", replay_json(r))));
-    fields.extend(mixed.map(|m| ("mixed_traffic", mixed_json(m))));
-    fields.extend(lsm.map(|l| ("lsm", lsm_json(l))));
-    let runs = comparison.runs.iter().map(run_json).collect();
-    fields.push(("runs", Json::Arr(runs)));
-    std::fs::write(path, format!("{}\n", obj(fields)))
+        ("runs", Json::Arr(runs.iter().map(run_json).collect())),
+    ]);
+    std::fs::write(path, format!("{json}\n"))
 }
 
 /// Formats a method report as the per-method columns shared by Tables 1, 3 and 4.
@@ -472,21 +322,29 @@ pub fn method_columns(r: &MethodReport) -> String {
 mod tests {
     use super::*;
 
+    fn heap_tree() -> Benchmark {
+        hat_suite::find("Heap", "Tree").expect("the small configuration exists")
+    }
+
     #[test]
     fn write_engine_json_refuses_unknown_schemas() {
-        let small: Vec<Benchmark> = hat_suite::all_benchmarks()
-            .into_iter()
-            .filter(|b| b.adt == "Heap" && b.library == "Tree")
-            .collect();
-        assert_eq!(small.len(), 1, "the small configuration exists");
-        let comparison = engine_comparison(&small, false);
+        // A renamed clone of Heap/Tree marked slow stands in for FileSystem/KVStore:
+        // only the naive-enumeration run may leave it out, and that run must name it.
+        let mut slow = heap_tree();
+        slow.adt = "SlowHeap".into();
+        slow.slow = true;
+        let runs = engine_comparison(&[heap_tree(), slow]);
         let mut path = std::env::temp_dir();
         path.push(format!("hat-bench-writer-{}.json", std::process::id()));
         let path = path.to_str().expect("utf-8 temp path");
         // Older schema strings must be refused before the file is touched: the
         // writer's layout no longer matches them.
-        for stale in ["hat-engine-bench v8", "hat-engine-bench v9"] {
-            let err = write_engine_json(path, stale, &comparison, None, None, None)
+        for stale in [
+            "hat-engine-bench v8",
+            "hat-engine-bench v9",
+            "hat-engine-bench v10",
+        ] {
+            let err = write_engine_json(path, stale, &runs)
                 .expect_err("an outdated schema string must be refused");
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
             assert!(
@@ -494,31 +352,80 @@ mod tests {
                 "a refused write must not leave a file behind"
             );
         }
-        write_engine_json(path, ENGINE_BENCH_SCHEMA, &comparison, None, None, None)
+        write_engine_json(path, ENGINE_BENCH_SCHEMA, &runs)
             .expect("the writer's own schema constant is accepted");
         let written = std::fs::read_to_string(path).expect("the accepted write lands");
         std::fs::remove_file(path).ok();
         let json = Json::parse(&written).expect("the file is valid JSON");
         assert_eq!(json.str_field("schema"), Some(ENGINE_BENCH_SCHEMA));
-        let runs = json
+        for gone in ["daemon_replay", "mixed_traffic", "lsm", "skipped"] {
+            assert!(json.get(gone).is_none(), "no top-level `{gone}` key");
+        }
+        let table = json
             .get("runs")
             .and_then(Json::as_arr)
             .expect("a runs table");
-        assert_eq!(runs.len(), comparison.runs.len());
-        for run in runs {
+        assert_eq!(table.len(), runs.len());
+        for run in table {
             let label = run.str_field("label").expect("every run is labelled");
+            let naive = label == "jobs=1 cold naive-enum";
+            let skipped: Vec<&str> = run
+                .get("skipped")
+                .and_then(Json::as_arr)
+                .expect("every run names what it skipped")
+                .iter()
+                .filter_map(Json::as_str)
+                .collect();
+            let expected: &[&str] = if naive { &["SlowHeap/Tree"] } else { &[] };
+            assert_eq!(skipped, expected, "{label}");
             let cache = run.get("cache").expect("every run has its cache counters");
             for name in hat_engine::CacheStatsSnapshot::NAMES {
                 assert!(cache.get(name).is_some(), "{label}: cache lacks `{name}`");
             }
             let rows = run.get("benchmarks").and_then(Json::as_arr).expect("rows");
-            assert_eq!(rows.len(), 1, "{label}: one row per configuration");
-            for name in hat_core::CheckStats::NAMES {
-                assert!(
-                    rows[0].get(name).is_some(),
-                    "{label}: the row lacks `{name}`"
-                );
+            let adts: Vec<&str> = rows.iter().filter_map(|r| r.str_field("adt")).collect();
+            let expected: &[&str] = if naive {
+                &["Heap"]
+            } else {
+                &["Heap", "SlowHeap"]
+            };
+            assert_eq!(
+                adts, expected,
+                "{label}: one row per included configuration"
+            );
+            for row in rows {
+                for name in hat_core::CheckStats::NAMES {
+                    assert!(row.get(name).is_some(), "{label}: a row lacks `{name}`");
+                }
             }
         }
+        assert!(
+            runs.iter().any(|r| r.label == "jobs=1 cold naive-enum"),
+            "the naive-enumeration run is part of the ablation"
+        );
+    }
+
+    #[test]
+    fn a_flipped_verdict_is_named_by_run_configuration_and_method() {
+        let suite = [heap_tree()];
+        let (_, mut run) = table1_row(&suite[0]);
+        assert_eq!(
+            verdict_mismatches("Table 1", &suite, std::slice::from_ref(&run)),
+            Vec::<String>::new(),
+            "Heap/Tree checks as expected"
+        );
+        run.reports[1].verified = !run.reports[1].verified;
+        let method = &suite[0].methods[1];
+        let mismatches = verdict_mismatches("jobs=1 cold", &suite, &[run]);
+        assert_eq!(mismatches.len(), 1, "{mismatches:?}");
+        let expected = if method.expect_verified {
+            "rejected, expected verified"
+        } else {
+            "verified, expected rejected"
+        };
+        assert_eq!(
+            mismatches[0],
+            format!("jobs=1 cold: Heap/Tree {} was {expected}", method.sig.name)
+        );
     }
 }

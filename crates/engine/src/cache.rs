@@ -36,11 +36,11 @@
 //! `<path>.d/`. Fresh records are appended to an in-memory memtable and reach disk when
 //! the memtable rotates (size threshold, end-of-run flush, or drop) — a dedicated
 //! background thread writes segments, commits the manifest atomically, and merges
-//! segment families without taking a single tier lock. Record lines inside segments use
-//! the same grammar as the v5 log body (`<kind><verdict>\t<key>` for `S`/`I`/`D`/`U`,
-//! `M\t<key>\t<payload>`) plus `T\t<key>\t<payload>` transition records.
+//! segment families without taking a single tier lock. Record lines inside segments are
+//! `<kind><verdict>\t<key>` for `S`/`I`/`D`/`U` and `<kind>\t<key>\t<payload>` for
+//! `M` minterm sets and `T` transitions.
 //!
-//! Properties carried over from v5, unchanged:
+//! Properties:
 //!
 //! * **Single-writer locking.** Opening takes a sidecar lock (`<path>.lock`, holder PID
 //!   inside). A second process finds the lock held and **degrades to in-memory** with a
@@ -51,25 +51,22 @@
 //!   *nudge*: it drains the memtable and asks the background thread to merge every
 //!   multi-segment family, newest record winning, duplicates and torn lines dropped.
 //!   Opening a store whose dead-record share passes a threshold nudges automatically.
-//! * **Migration.** A log with the `v5` header is replayed and atomically rewritten as
-//!   level-0 segments plus a manifest on first locked open. A file with any other
-//!   header — the pre-v5 logs of older binaries included — is ignored wholesale and
-//!   counted as stale rather than half-trusted (the store runs in-memory and never
-//!   writes to the foreign file). Malformed lines and torn segments are skipped and
-//!   counted as stale, never corrupting verdicts.
+//! * **Foreign files.** A file with any header other than the v6 manifest's — the
+//!   flat v1–v5 logs of older binaries included — is ignored wholesale and counted as
+//!   stale rather than half-trusted (the store runs in-memory and never writes to the
+//!   foreign file). Malformed lines and torn segments are skipped and counted as
+//!   stale, never corrupting verdicts.
 
 use crate::atomio::{parse_minterm_set, parse_sfa, ser_minterm_set, ser_sfa};
 use crate::lsm::{self, Lsm, LsmConfig, LsmStatsSnapshot, ManifestState};
 use crate::tier::{DiskTier, SharedTier};
 use hat_sfa::{MemoKind, MintermSet, Sfa};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-const HEADER_V5: &str = "hat-engine-cache v5";
 
 /// An open-time compaction nudge fires when at least this many dead records are found…
 const AUTO_COMPACT_MIN_DEAD: usize = 16;
@@ -186,7 +183,7 @@ impl From<Sfa> for MemoValue {
     }
 }
 
-/// Serialises one record as the line it occupies in a segment (or a v5 log body).
+/// Serialises one record as the line it occupies in a segment.
 fn record_line(kind: RecordKind, key: &str, value: &MemoValue) -> String {
     let tag = kind.tag();
     match value {
@@ -196,7 +193,7 @@ fn record_line(kind: RecordKind, key: &str, value: &MemoValue) -> String {
     }
 }
 
-/// Parses one record line — the grammar segment bodies share with the v5 log body.
+/// Parses one record line of a segment body.
 /// `None` for a line no record grammar accepts, including an `M`/`T` line whose payload
 /// does not parse exactly: a torn payload degrades to a cold entry, never a wrong one.
 fn parse_record(line: &str) -> Option<(RecordKind, &str, MemoValue)> {
@@ -456,7 +453,7 @@ impl CacheFileStats {
     }
 
     /// Tallies one record line, deduplicating against the keys already `seen` per kind
-    /// (newest segment first for a v6 store, file order for a v5 log).
+    /// (newest segment first).
     fn tally(&mut self, line: &str, seen: &mut [HashSet<String>; 6]) {
         match parse_record(line) {
             Some((kind, key, _)) if seen[kind as usize].insert(key.to_string()) => {
@@ -477,16 +474,6 @@ impl CacheFileStats {
             RecordKind::Subsumption => &mut self.subsumption,
         }
     }
-}
-
-/// What the cache path held when the store opened (drives migration).
-enum OnDisk {
-    /// Missing or empty file: start a fresh v6 store.
-    Fresh,
-    /// A v5 log was replayed: rewrite it as segments + manifest.
-    V5,
-    /// A v6 manifest was read and its segments replayed.
-    V6(ManifestState),
 }
 
 /// The concurrent tiered memo store shared by every worker of a verification run: the
@@ -569,15 +556,14 @@ impl MemoStore {
     /// A store backed by the LSM disk store at `path` (`path` is the manifest;
     /// segments live under `<path>.d/`). Existing segments are replayed into the disk
     /// tiers (warm start) and fresh verdicts flow through the memtable to new segments.
-    /// A `v5` log is migrated to the v6 layout atomically on open; a store whose
-    /// replay found enough dead records gets an immediate compaction nudge. A file
-    /// whose header belongs to any other format version, older or newer, is left
-    /// untouched: the store runs in-memory only and counts the file as stale
+    /// A store whose replay found enough dead records gets an immediate compaction
+    /// nudge. A file whose header belongs to any other format version, older or newer,
+    /// is left untouched: the store runs in-memory only and counts the file as stale
     /// (destroying data a newer binary wrote would be worse than running cold).
     ///
     /// Opening takes the sidecar lock `<path>.lock`. If another live process holds it,
     /// this store **degrades to in-memory** (entries are still replayed read-only for a
-    /// warm start, but nothing is migrated, flushed, compacted or garbage-collected)
+    /// warm start, but nothing is flushed, compacted or garbage-collected)
     /// and [`MemoStore::degraded`] reports `true`.
     pub fn with_disk_log_config(
         path: impl AsRef<Path>,
@@ -624,7 +610,7 @@ impl MemoStore {
         }
         let mut duplicates = 0usize;
         let mut stale_lines = 0usize;
-        let mut on_disk = OnDisk::Fresh;
+        let mut manifest = None;
         if path.exists() {
             if let Some((state, malformed)) = lsm::read_manifest(path)? {
                 stale_lines += malformed;
@@ -645,30 +631,13 @@ impl MemoStore {
                         cache.replay(line, &mut duplicates, &mut stale_lines);
                     }
                 }
-                on_disk = OnDisk::V6(state);
-            } else {
-                // Not a v6 manifest: a v5 log, a foreign version, or an empty file.
-                let reader = BufReader::new(File::open(path)?);
-                let mut lines = reader.lines();
-                match lines.next() {
-                    Some(Ok(header)) if header == HEADER_V5 => {
-                        for line in lines {
-                            match line {
-                                Ok(line) => cache.replay(&line, &mut duplicates, &mut stale_lines),
-                                Err(_) => stale_lines += 1,
-                            }
-                        }
-                        on_disk = OnDisk::V5;
-                    }
-                    Some(_) => {
-                        // Unknown header: a different format version (or not a cache
-                        // file at all). Do not write to it — and release the writer
-                        // lock, since this store will never use it.
-                        cache.counters.stale.fetch_add(1, Ordering::Relaxed);
-                        return Ok(cache);
-                    }
-                    None => {}
-                }
+                manifest = Some(state);
+            } else if BufReader::new(File::open(path)?).lines().next().is_some() {
+                // Not a v6 manifest and not empty: a different format version (v5 and
+                // older included) or not a cache file at all. Do not write to it — and
+                // release the writer lock, since this store will never use it.
+                cache.counters.stale.fetch_add(1, Ordering::Relaxed);
+                return Ok(cache);
             }
         }
         cache
@@ -676,17 +645,17 @@ impl MemoStore {
             .stale
             .fetch_add(stale_lines, Ordering::Relaxed);
         if cache.degraded {
-            // Another process owns the store: warm entries are loaded, but no
-            // migration, no writes, no compaction, no orphan GC.
+            // Another process owns the store: warm entries are loaded, but no writes,
+            // no compaction, no orphan GC.
             return Ok(cache);
         }
-        let state = match on_disk {
-            OnDisk::V6(state) => state,
-            OnDisk::V5 => cache.migrate_to_v6(path)?,
-            OnDisk::Fresh => {
-                // Commit the empty manifest up front so the path always carries the v6
-                // header — a pre-v6 binary opening it later sees a foreign version and
-                // safely runs in-memory instead of appending to a manifest.
+        let state = match manifest {
+            Some(state) => state,
+            None => {
+                // Missing or empty file: commit the empty manifest up front so the path
+                // always carries the v6 header — a pre-v6 binary opening it later sees
+                // a foreign version and safely runs in-memory instead of appending to a
+                // manifest.
                 let state = ManifestState::default();
                 lsm::write_manifest(path, &state)?;
                 state
@@ -719,36 +688,6 @@ impl MemoStore {
             }
             None => *stale += 1,
         }
-    }
-
-    /// Rewrites a replayed v5 log as the v6 layout: every live entry becomes a sorted,
-    /// partitioned level-0 segment under `<path>.d/`, and the manifest atomically
-    /// replaces the v5 log only after every segment is durable — an interrupted
-    /// migration leaves the v5 log intact (plus invisible orphan segments the next
-    /// locked open garbage-collects).
-    fn migrate_to_v6(&self, path: &Path) -> std::io::Result<ManifestState> {
-        let dir = lsm::segment_dir_for(path);
-        std::fs::create_dir_all(&dir)?;
-        let mut families: BTreeMap<(RecordKind, u8), Vec<(String, String)>> = BTreeMap::new();
-        for kind in RecordKind::ALL {
-            for (key, value) in self.disk[kind as usize].snapshot() {
-                let line = record_line(kind, &key, &value);
-                families
-                    .entry((kind, lsm::partition_of(&key)))
-                    .or_default()
-                    .push((key, line));
-            }
-        }
-        let mut state = ManifestState::default();
-        for ((kind, partition), mut lines) in families {
-            lines.sort_by(|a, b| a.0.cmp(&b.0));
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            let meta = lsm::write_segment(&dir, kind, partition, 0, seq, &lines)?;
-            state.segments.push(meta);
-        }
-        lsm::write_manifest(path, &state)?;
-        Ok(state)
     }
 
     /// Whether lock contention forced this store to run in-memory despite a configured
@@ -797,9 +736,9 @@ impl MemoStore {
         }
     }
 
-    /// Scans the cache at `path` read-only — no lock taken, no migration, nothing
-    /// written — and reports per-kind live counts, dead records, segment counts and
-    /// the header version. Works while another process (e.g. a live daemon) owns the
+    /// Scans the cache at `path` read-only — no lock taken, nothing written — and
+    /// reports per-kind live counts, dead records, segment counts and the header
+    /// version. Works while another process (e.g. a live daemon) owns the
     /// store: the manifest and segments are immutable once written, so the worst a
     /// concurrent commit can do is make the scan see the previous manifest, which was
     /// equally honest.
@@ -834,24 +773,10 @@ impl MemoStore {
             }
             return Ok(stats);
         }
-        // A v5 log or a foreign file: a flat scan of the single file.
-        let reader = BufReader::new(File::open(path)?);
-        let mut lines = reader.lines();
-        let Some(Ok(header)) = lines.next() else {
-            return Ok(stats);
-        };
-        let v5 = header == HEADER_V5;
-        stats.header = Some(header);
-        if !v5 {
-            return Ok(stats); // Foreign: nothing beyond the header is ours to judge.
-        }
-        stats.version = Some(5);
-        let mut seen: [HashSet<String>; 6] = Default::default();
-        for line in lines {
-            match line {
-                Ok(line) => stats.tally(&line, &mut seen),
-                Err(_) => stats.malformed += 1,
-            }
+        // A foreign file (v5 and older included): nothing beyond the header is ours to
+        // judge.
+        if let Some(Ok(header)) = BufReader::new(File::open(path)?).lines().next() {
+            stats.header = Some(header);
         }
         Ok(stats)
     }
@@ -964,12 +889,6 @@ impl MemoStore {
         self.len() == 0
     }
 
-    /// Per-kind shared-tier lock acquisitions (diagnostic: shows which record kind's
-    /// traffic the local tiers are or are not absorbing).
-    pub fn lock_breakdown(&self) -> [(RecordKind, usize); 6] {
-        RecordKind::ALL.map(|kind| (kind, self.shared[kind as usize].lock_acquisitions()))
-    }
-
     /// A snapshot of the hit/miss/disk/lock counters. Subsumption probes keep their
     /// own counters: a `U` miss costs a local fixpoint, not a solver query, so it must
     /// not dilute the solver-facing miss count.
@@ -1016,6 +935,26 @@ mod tests {
         let _ = std::fs::remove_file(lock_path_for(path));
         let _ = std::fs::remove_file(path.with_extension("compacting"));
         let _ = std::fs::remove_dir_all(lsm::segment_dir_for(path));
+    }
+
+    /// Writes a v6 store by hand: one level-0 segment per entry of `segments`, holding
+    /// its record lines verbatim (malformed ones included), newest last, then the
+    /// manifest naming them all.
+    fn write_store(path: &Path, segments: &[(RecordKind, &[&str])]) {
+        let dir = lsm::segment_dir_for(path);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut state = ManifestState::default();
+        for (kind, lines) in segments {
+            let lines: Vec<(String, String)> = lines
+                .iter()
+                .map(|line| (String::new(), line.to_string()))
+                .collect();
+            let seq = state.next_seq;
+            state.next_seq += 1;
+            let meta = lsm::write_segment(&dir, *kind, 0, 0, seq, &lines).unwrap();
+            state.segments.push(meta);
+        }
+        lsm::write_manifest(path, &state).unwrap();
     }
 
     #[test]
@@ -1081,14 +1020,15 @@ mod tests {
     #[test]
     fn unknown_header_is_ignored_and_left_untouched() {
         let path = temp_path("stale");
-        // A newer binary's header, and the pre-v5 headers of older binaries, which are
-        // no longer migrated: each is as foreign as the other.
+        // A newer binary's header, and the flat-log headers of older binaries, which
+        // are no longer migrated: each is as foreign as the other.
         for header in [
             "hat-engine-cache v999",
             "hat-engine-cache v1",
             "hat-engine-cache v2",
             "hat-engine-cache v3",
             "hat-engine-cache v4",
+            "hat-engine-cache v5",
         ] {
             cleanup(&path);
             let foreign = format!("{header}\nS1\tk\n");
@@ -1107,72 +1047,6 @@ mod tests {
                 "no segment directory may appear next to a foreign file ({header})"
             );
         }
-        cleanup(&path);
-    }
-
-    #[test]
-    fn torn_v5_line_is_dropped_by_migration() {
-        let path = temp_path("torn");
-        cleanup(&path);
-        std::fs::write(
-            &path,
-            format!("{HEADER_V5}\nS1\tgood\nmalformed-without-tab"),
-        )
-        .unwrap();
-        {
-            let cache = MemoStore::with_disk_log(&path).unwrap();
-            assert_eq!(cache.lookup(RecordKind::Solver, "good"), Some(true.into()));
-            assert_eq!(cache.stats().stale, 1);
-            cache.insert(RecordKind::Solver, "fresh".into(), true.into());
-        }
-        let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup(RecordKind::Solver, "good"), Some(true.into()));
-        assert_eq!(warm.lookup(RecordKind::Solver, "fresh"), Some(true.into()));
-        assert_eq!(
-            warm.stats().stale,
-            0,
-            "the torn line did not survive migration"
-        );
-        cleanup(&path);
-    }
-
-    #[test]
-    fn v5_logs_are_migrated_to_v6() {
-        let path = temp_path("migrate-v5");
-        cleanup(&path);
-        std::fs::write(
-            &path,
-            format!("{HEADER_V5}\nS1\tsat|k1\nI0\tincl|k2\nD1\tshape|k3\nM\tmt|k4\tU0;M0;P0;Q0;\n"),
-        )
-        .unwrap();
-        {
-            let cache = MemoStore::with_disk_log(&path).unwrap();
-            assert_eq!(cache.stats().disk_loaded, 4);
-            let contents = std::fs::read_to_string(&path).unwrap();
-            assert!(
-                contents.starts_with(lsm::MANIFEST_HEADER_V6),
-                "migration happens at open, got: {contents:?}"
-            );
-        }
-        let stats = MemoStore::inspect(&path).unwrap();
-        assert_eq!(stats.version, Some(6));
-        assert_eq!(
-            (stats.solver, stats.inclusion, stats.shape, stats.minterms),
-            (1, 1, 1, 1)
-        );
-        assert!(stats.segments >= 1);
-        let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup(RecordKind::Solver, "sat|k1"), Some(true.into()));
-        assert_eq!(
-            warm.lookup(RecordKind::Inclusion, "incl|k2"),
-            Some(false.into())
-        );
-        assert_eq!(
-            warm.lookup(RecordKind::Shape, "shape|k3"),
-            Some(true.into())
-        );
-        assert!(warm.lookup(RecordKind::Minterms, "mt|k4").is_some());
-        assert_eq!(warm.stats().stale, 0);
         cleanup(&path);
     }
 
@@ -1280,11 +1154,13 @@ mod tests {
     fn torn_minterm_payload_degrades_to_a_cold_entry() {
         let path = temp_path("torn-minterm");
         cleanup(&path);
-        std::fs::write(
+        write_store(
             &path,
-            format!("{HEADER_V5}\nS1\tgood\nM\tmt|x\tU0;M1;O3#put"),
-        )
-        .unwrap();
+            &[
+                (RecordKind::Solver, &["S1\tgood"]),
+                (RecordKind::Minterms, &["M\tmt|x\tU0;M1;O3#put"]),
+            ],
+        );
         let cache = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(cache.lookup(RecordKind::Solver, "good"), Some(true.into()));
         assert!(
@@ -1585,16 +1461,21 @@ mod tests {
     fn inspect_reports_per_kind_counts_and_dead_records() {
         let path = temp_path("inspect");
         cleanup(&path);
-        std::fs::write(
+        write_store(
             &path,
-            format!(
-                "{HEADER_V5}\nS1\tsat|k1\nS0\tsat|k2\nS1\tsat|k1\nI1\tincl|k3\nD0\tshape|k4\n\
-                 M\tmt|k5\tU0;M0;P0;Q0;\nM\tmt|k6\tU0;M1;O3#put\ntorn-line"
-            ),
-        )
-        .unwrap();
+            &[
+                (RecordKind::Solver, &["S1\tsat|k1", "S0\tsat|k2"]),
+                (RecordKind::Solver, &["S1\tsat|k1", "torn-line"]),
+                (RecordKind::Inclusion, &["I1\tincl|k3"]),
+                (RecordKind::Shape, &["D0\tshape|k4"]),
+                (
+                    RecordKind::Minterms,
+                    &["M\tmt|k5\tU0;M0;P0;Q0;", "M\tmt|k6\tU0;M1;O3#put"],
+                ),
+            ],
+        );
         let stats = MemoStore::inspect(&path).unwrap();
-        assert_eq!(stats.version, Some(5));
+        assert_eq!(stats.version, Some(6));
         assert_eq!(stats.solver, 2);
         assert_eq!(stats.inclusion, 1);
         assert_eq!(stats.shape, 1);

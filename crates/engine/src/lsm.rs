@@ -171,8 +171,8 @@ impl ManifestState {
 }
 
 /// Parses the manifest at `path`. Returns `Ok(None)` when the file's header is not the
-/// v6 manifest header (a v5 log, a foreign version, or not a cache file at all —
-/// the caller dispatches). Malformed body lines are skipped and counted, never trusted:
+/// v6 manifest header (an older flat log, a foreign version, or not a cache file at
+/// all — the caller treats it as foreign). Malformed body lines are skipped and counted, never trusted:
 /// a segment the manifest fails to name cleanly is simply invisible (cold), which can
 /// lose cache entries but never corrupt verdicts.
 pub fn read_manifest(path: &Path) -> std::io::Result<Option<(ManifestState, usize)>> {
@@ -319,7 +319,7 @@ pub fn read_segment(dir: &Path, meta: &SegmentMeta) -> SegmentScan {
 
 /// Writes one segment file (already grouped, deduplicated and sorted) via a temporary
 /// file, `sync_all` and an atomic rename, and returns its manifest entry. Crate-visible
-/// so the store's v5 migration can emit the initial level-0 segments directly.
+/// so the store's tests can lay down hand-written segments.
 pub(crate) fn write_segment(
     dir: &Path,
     kind: RecordKind,
@@ -500,7 +500,7 @@ impl std::fmt::Debug for Lsm {
 impl Lsm {
     /// Starts the backend over an already-read manifest: creates the segment directory,
     /// garbage-collects orphans and spawns the background thread. The caller holds the
-    /// single-writer lock and has already migrated or replayed the on-disk state.
+    /// single-writer lock and has already replayed the on-disk state.
     pub fn start(
         manifest_path: &Path,
         state: ManifestState,

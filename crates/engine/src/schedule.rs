@@ -24,7 +24,7 @@
 //! * **Cancellation** — [`RunHandle::cancel`] atomically drops the submission's queued
 //!   jobs (each waiting consumer observes a `cancelled` outcome, so accounting stays
 //!   exact) while jobs already on a worker run to completion and still deliver.
-//! * **Deduplication** — identical `(axioms, benchmark, method, knobs)` jobs across
+//! * **Deduplication** — identical `(axioms, benchmark, method)` jobs across
 //!   concurrent submissions run **once**: the later submission subscribes to the
 //!   earlier job (queued or already running) and both receive the same report. This is
 //!   sound because every verdict is a pure function of its canonical key. The key uses
@@ -170,10 +170,11 @@ impl RunSummary {
 }
 
 /// Identity of one verification job for cross-submission deduplication: the canonical
-/// axiom-set fingerprint plus the benchmark/method identity and the knobs that can
-/// change the executed pipeline. Verdicts are pure functions of this key (for the
-/// static benchmark suite the daemon serves, where `(adt, library)` names a unique
-/// definition), which is what makes fan-out to several subscribers sound.
+/// axiom-set fingerprint plus the benchmark/method identity. Every job of an engine
+/// runs under the engine's one [`EngineConfig`], so the knobs need no place in the key.
+/// Verdicts are pure functions of this key (for the static benchmark suite the daemon
+/// serves, where `(adt, library)` names a unique definition), which is what makes
+/// fan-out to several subscribers sound.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct JobKey {
     key_prefix: Arc<String>,
@@ -181,54 +182,26 @@ struct JobKey {
     library: String,
     method: usize,
     method_name: String,
-    enumeration: u8,
-    prune: bool,
-    inclusion: u8,
-    subsume: u8,
 }
 
 impl JobKey {
-    fn new(
-        bench: &Benchmark,
-        method: usize,
-        key_prefix: &Arc<String>,
-        config: &EngineConfig,
-    ) -> Self {
+    fn new(bench: &Benchmark, method: usize, key_prefix: &Arc<String>) -> Self {
         JobKey {
             key_prefix: Arc::clone(key_prefix),
             adt: bench.adt.to_string(),
             library: bench.library.to_string(),
             method,
             method_name: bench.methods[method].sig.name.clone(),
-            // The mode enums are not `Hash`; encode their discriminants.
-            enumeration: match config.enumeration {
-                EnumerationMode::Naive => 0,
-                EnumerationMode::Incremental => 1,
-            },
-            prune: config.prune,
-            inclusion: match config.inclusion {
-                InclusionMode::OnTheFly => 0,
-                InclusionMode::Materialise => 1,
-            },
-            subsume: match config.subsume {
-                SubsumptionMode::Off => 0,
-                SubsumptionMode::Syntactic => 1,
-                SubsumptionMode::Simulation => 2,
-            },
         }
     }
 }
 
-/// The work a job carries (everything `run_job` needs).
+/// The work a job carries (with the engine's config, everything `run_job` needs).
 struct JobWork {
     bench: Arc<Benchmark>,
     method: usize,
     /// Pre-computed axiom-set fingerprint prefix, shared by every method of a benchmark.
     key_prefix: Arc<String>,
-    enumeration: EnumerationMode,
-    prune: bool,
-    inclusion: InclusionMode,
-    subsume: SubsumptionMode,
 }
 
 /// One consumer of a job's outcome: which submission it belongs to, which slot of that
@@ -423,31 +396,33 @@ impl std::fmt::Debug for JobPool {
 }
 
 impl JobPool {
-    fn spawn(workers: usize, cache: Arc<MemoStore>, local_tiers: bool) -> Self {
+    /// Spawns `config.jobs` workers, each running every job under `config`.
+    fn spawn(config: &EngineConfig, cache: Arc<MemoStore>) -> Self {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState::default()),
             available: Condvar::new(),
             dedup_hits: AtomicUsize::new(0),
         });
-        let workers = (0..workers.max(1))
+        let workers = (0..config.jobs.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let cache = Arc::clone(&cache);
+                let config = config.clone();
                 std::thread::Builder::new()
                     .name(format!("hat-worker-{i}"))
-                    .spawn(move || Self::worker_loop(&shared, &cache, local_tiers))
+                    .spawn(move || Self::worker_loop(&shared, &cache, &config))
                     .expect("spawning a verification worker failed")
             })
             .collect();
         JobPool { shared, workers }
     }
 
-    fn worker_loop(shared: &PoolShared, cache: &Arc<MemoStore>, local_tiers: bool) {
+    fn worker_loop(shared: &PoolShared, cache: &Arc<MemoStore>, config: &EngineConfig) {
         // One lock-free local tier per worker, shared by every oracle the worker
         // creates: promotions made while checking one method serve every later method
         // of the same worker — including methods of *later submissions* — without a
         // shard lock.
-        let local = local_tiers.then(|| Rc::new(LocalTier::default()));
+        let local = config.local_tiers.then(|| Rc::new(LocalTier::default()));
         loop {
             // Take a job with the scheduler lock released again before running it, so a
             // long verification never blocks the other workers' queue access.
@@ -467,7 +442,7 @@ impl JobPool {
                 }
             };
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Self::run_job(&work, cache, local.as_ref())
+                Self::run_job(&work, config, cache, local.as_ref())
             }));
             let result = match outcome {
                 Ok(Ok(report)) => JobResult::Report(Box::new(report)),
@@ -497,6 +472,7 @@ impl JobPool {
 
     fn run_job(
         work: &JobWork,
+        config: &EngineConfig,
         cache: &Arc<MemoStore>,
         local: Option<&Rc<LocalTier>>,
     ) -> Result<MethodReport, String> {
@@ -511,10 +487,10 @@ impl JobPool {
             oracle = oracle.with_local_tier(Rc::clone(local));
         }
         let mut checker = Checker::with_oracle(bench.delta.clone(), Box::new(oracle));
-        checker.inclusion.enumeration = work.enumeration;
-        checker.inclusion.prune = work.prune;
-        checker.inclusion.mode = work.inclusion;
-        checker.inclusion.subsume = work.subsume;
+        checker.inclusion.enumeration = config.enumeration;
+        checker.inclusion.prune = config.prune;
+        checker.inclusion.mode = config.inclusion;
+        checker.inclusion.subsume = config.subsume;
         checker
             .check_method(&method.sig, &method.body)
             .map_err(|e| {
@@ -770,7 +746,7 @@ impl Engine {
             }
             None => Arc::new(MemoStore::in_memory()),
         };
-        let pool = JobPool::spawn(config.jobs, Arc::clone(&cache), config.local_tiers);
+        let pool = JobPool::spawn(&config, Arc::clone(&cache));
         Ok(Engine {
             config,
             pool,
@@ -840,7 +816,7 @@ impl Engine {
             let mut queue: VecDeque<JobKey> = VecDeque::new();
             for (token, &(b, m)) in jobs.iter().enumerate() {
                 let (bench, key_prefix) = &shared[b];
-                let key = JobKey::new(bench, m, key_prefix, &self.config);
+                let key = JobKey::new(bench, m, key_prefix);
                 let recipient = Recipient {
                     submission,
                     token,
@@ -867,10 +843,6 @@ impl Engine {
                                 bench: Arc::clone(bench),
                                 method: m,
                                 key_prefix: Arc::clone(key_prefix),
-                                enumeration: self.config.enumeration,
-                                prune: self.config.prune,
-                                inclusion: self.config.inclusion,
-                                subsume: self.config.subsume,
                             },
                             recipients: vec![recipient],
                             queued_at: Instant::now(),

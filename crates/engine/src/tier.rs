@@ -234,17 +234,6 @@ impl<V: Clone> DiskTier<V> {
         self.locks.fetch_add(1, Ordering::Relaxed);
         self.map.write().expect("disk tier poisoned").remove(key);
     }
-
-    /// A point-in-time copy of every entry (the v5 → v6 migration writes it out as
-    /// segments; uncounted like replay).
-    pub(crate) fn snapshot(&self) -> Vec<(String, V)> {
-        self.map
-            .read()
-            .expect("disk tier poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -280,17 +269,5 @@ mod tests {
         assert_eq!(tier.get("warm"), None);
         assert_eq!(tier.lock_acquisitions(), 3);
         assert_eq!(tier.len(), 0);
-    }
-
-    #[test]
-    fn snapshot_copies_every_entry() {
-        let tier: DiskTier<u32> = DiskTier::default();
-        for i in 0..100u32 {
-            tier.put_quiet(format!("key-{i}"), i);
-        }
-        let mut snap = tier.snapshot();
-        snap.sort();
-        assert_eq!(snap.len(), 100);
-        assert!(snap.contains(&("key-42".to_string(), 42)));
     }
 }

@@ -268,55 +268,3 @@ fn a_kill_between_compaction_write_and_rename_loses_nothing() {
     );
     cleanup(&path);
 }
-
-/// The committed v5 fixture (the exact bytes a pre-LSM binary wrote) must migrate to
-/// v6 atomically on first open — every live record carried over, the duplicate
-/// dropped, and the migrated store replaying cleanly forever after. CI runs the same
-/// fixture through the `marple` binary.
-#[test]
-fn committed_v5_fixture_migrates_atomically() {
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v5.cache");
-    let path = temp_path("v5-fixture");
-    cleanup(&path);
-    std::fs::copy(&fixture, &path).expect("fixture copies");
-    {
-        let store = MemoStore::with_disk_log(&path).expect("fixture opens");
-        assert_eq!(
-            store.lookup(RecordKind::Solver, "sat|fixture-a"),
-            Some(true.into())
-        );
-        assert_eq!(
-            store.lookup(RecordKind::Solver, "sat|fixture-b"),
-            Some(false.into())
-        );
-        assert_eq!(
-            store.lookup(RecordKind::Inclusion, "incl|fixture-c"),
-            Some(true.into())
-        );
-        assert_eq!(
-            store.lookup(RecordKind::Shape, "shape|fixture-d"),
-            Some(false.into())
-        );
-        assert!(store.lookup(RecordKind::Minterms, "mt|fixture-e").is_some());
-        assert_eq!(
-            store.stats().disk_loaded,
-            5,
-            "one duplicate S record is dropped"
-        );
-    }
-    let stats = MemoStore::inspect(&path).expect("inspect migrated store");
-    assert_eq!(
-        stats.version,
-        Some(6),
-        "the fixture is rewritten as a v6 manifest"
-    );
-    assert_eq!(stats.live(), 5);
-    assert_eq!(stats.dead(), 0, "migration writes only the live records");
-    let warm = MemoStore::with_disk_log(&path).expect("migrated store reopens");
-    assert_eq!(
-        warm.lookup(RecordKind::Solver, "sat|fixture-a"),
-        Some(true.into())
-    );
-    assert_eq!(warm.stats().stale, 0);
-    cleanup(&path);
-}

@@ -211,9 +211,8 @@ fn filesystem_kvstore() -> Benchmark {
         delta: kvstore_delta(),
         model: kvstore_model(),
         methods,
-        // ~1.6 min cold in release with the pruned incremental pipeline (PR 3), but the
-        // naive-enumeration baseline is still >84 CPU-min, which would dominate
-        // `table1 --full` and the debug test budget.
+        // ~5 s cold in release with the default pipeline, which every other `table1`
+        // knob run checks, but its naive-enumeration baseline takes ~4 min.
         slow: true,
     }
 }
