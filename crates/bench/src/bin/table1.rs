@@ -18,9 +18,9 @@
 //! cannot be written.
 
 use hat_bench::{
-    engine_comparison, method_columns, table1_row, verdict_mismatches, write_engine_json,
-    ENGINE_BENCH_SCHEMA,
+    engine_comparison, method_columns, table1_row, write_engine_json, ENGINE_BENCH_SCHEMA,
 };
+use hat_engine::verdict_mismatches;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

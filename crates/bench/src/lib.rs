@@ -5,7 +5,7 @@
 //! (per-method details). The `table1` binary additionally runs the knob ablation
 //! ([`engine_comparison`]: the whole suite once per engine knob setting), checks every
 //! verdict of the table and of the ablation against the suite's expected outcomes
-//! ([`verdict_mismatches`]) and writes `BENCH_engine.json` (schema
+//! ([`hat_engine::verdict_mismatches`]) and writes `BENCH_engine.json` (schema
 //! [`ENGINE_BENCH_SCHEMA`]).
 
 use hat_core::MethodReport;
@@ -64,37 +64,6 @@ pub fn table1_row(bench: &Benchmark) -> (Table1Row, BenchmarkRun) {
         reports,
     };
     (row, run)
-}
-
-/// Names every method in `results` whose verdict differs from the `expect_verified` of
-/// its configuration in `benches`, one line each: the run label, the configuration and
-/// the method. Panics when a result names a configuration `benches` does not hold.
-pub fn verdict_mismatches(
-    run: &str,
-    benches: &[Benchmark],
-    results: &[BenchmarkRun],
-) -> Vec<String> {
-    let outcome = |verified: bool| if verified { "verified" } else { "rejected" };
-    let mut mismatches = Vec::new();
-    for result in results {
-        let bench = benches
-            .iter()
-            .find(|b| b.adt == result.adt && b.library == result.library)
-            .expect("every result comes from a configuration in `benches`");
-        for (method, report) in bench.methods.iter().zip(&result.reports) {
-            if report.verified != method.expect_verified {
-                mismatches.push(format!(
-                    "{run}: {}/{} {} was {}, expected {}",
-                    result.adt,
-                    result.library,
-                    method.sig.name,
-                    outcome(report.verified),
-                    outcome(method.expect_verified)
-                ));
-            }
-        }
-    }
-    mismatches
 }
 
 /// One measured engine configuration over the suite: its knob settings, the
@@ -321,6 +290,7 @@ pub fn method_columns(r: &MethodReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hat_engine::verdict_mismatches;
 
     fn heap_tree() -> Benchmark {
         hat_suite::find("Heap", "Tree").expect("the small configuration exists")

@@ -127,12 +127,13 @@ impl Checker {
     }
 
     /// The running totals behind a method's counters: the inclusion checker's plus the
-    /// five the oracle reads out. `check_method` reports the difference across a check.
+    /// six the oracle reads out. `check_method` reports the difference across a check.
     fn counter_totals(&self) -> CheckStats {
         let mut totals = self.inclusion.stats;
         totals += CheckStats {
             sat_queries: self.oracle.query_count(),
             sat_time: self.oracle.query_time(),
+            theory_checks: self.oracle.theory_checks(),
             cache_hits: self.oracle.cache_hits(),
             cache_misses: self.oracle.cache_misses(),
             shared_tier_locks: self.oracle.shared_tier_locks(),

@@ -4,7 +4,7 @@
 //! ## Handshake
 //!
 //! On connect the server speaks first, announcing one [`Hello`] frame:
-//! `{"server":"marpled v2","protocol":3,"cache_version":6,"pid":…}`. The client checks
+//! `{"server":"marpled v2","protocol":4,"cache_version":6,"pid":…}`. The client checks
 //! all three identity fields before sending anything; a mismatch (an old daemon, a
 //! different cache format generation, or a non-marpled service on the address) is
 //! rejected client-side with a message naming both sides, so version skew fails in one
@@ -46,8 +46,9 @@ pub const SERVER_NAME: &str = "marpled v2";
 
 /// Frame-level protocol generation (3: `report` stats carry every `CheckStats`
 /// counter by its schema name, `avg_fa_size` is derived from `dfa_transitions` and
-/// `dfas_built`, and every counter key is required).
-pub const PROTOCOL_VERSION: u64 = 3;
+/// `dfas_built`, and every counter key is required; 4: `report` stats gained
+/// `theory_checks`).
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// The disk-cache format generation the daemon serves (`hat-engine-cache v6`). Part of
 /// the handshake so a client built against a different store generation refuses early.
@@ -858,6 +859,7 @@ mod tests {
             minterms: 13,
             enum_queries: 9,
             pruned_subtrees: 4,
+            theory_checks: 17,
             minterm_memo_hits: 5,
             inclusion_memo_hits: 1,
             dfas_built: 4,

@@ -87,6 +87,7 @@ pub use canon::{canonicalize, memo_key, CanonicalMemoKey, CanonicalQuery};
 pub use lsm::{LsmConfig, LsmStatsSnapshot, ManifestState, SegmentMeta};
 pub use oracle::CachingOracle;
 pub use schedule::{
-    BenchmarkRun, Engine, EngineConfig, JobReport, PollReport, RunHandle, RunSummary,
+    verdict_mismatches, BenchmarkRun, Engine, EngineConfig, JobReport, PollReport, RunHandle,
+    RunSummary,
 };
 pub use tier::{DiskTier, LocalTier, SharedTier};

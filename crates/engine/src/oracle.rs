@@ -235,6 +235,10 @@ impl SolverOracle for CachingOracle {
         self.solver.stats.time
     }
 
+    fn theory_checks(&self) -> usize {
+        self.solver.stats.theory_checks
+    }
+
     fn cache_hits(&self) -> usize {
         self.hits
     }

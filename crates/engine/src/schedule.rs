@@ -118,19 +118,41 @@ pub struct BenchmarkRun {
 }
 
 impl BenchmarkRun {
-    /// Whether every method matched its expected verdict.
-    pub fn all_as_expected(&self, bench: &Benchmark) -> bool {
-        bench
-            .methods
-            .iter()
-            .zip(&self.reports)
-            .all(|(m, r)| r.verified == m.expect_verified)
-    }
-
     /// This benchmark's counters: every method report's, summed.
     pub fn stats(&self) -> CheckStats {
         self.reports.iter().map(|r| r.stats).sum()
     }
+}
+
+/// Names every method in `results` whose verdict differs from the `expect_verified` of
+/// its configuration in `benches`, one line each: the run label, the configuration and
+/// the method. Panics when a result names a configuration `benches` does not hold.
+pub fn verdict_mismatches(
+    run: &str,
+    benches: &[Benchmark],
+    results: &[BenchmarkRun],
+) -> Vec<String> {
+    let outcome = |verified: bool| if verified { "verified" } else { "rejected" };
+    let mut mismatches = Vec::new();
+    for result in results {
+        let bench = benches
+            .iter()
+            .find(|b| b.adt == result.adt && b.library == result.library)
+            .expect("every result comes from a configuration in `benches`");
+        for (method, report) in bench.methods.iter().zip(&result.reports) {
+            if report.verified != method.expect_verified {
+                mismatches.push(format!(
+                    "{run}: {}/{} {} was {}, expected {}",
+                    result.adt,
+                    result.library,
+                    method.sig.name,
+                    outcome(report.verified),
+                    outcome(method.expect_verified)
+                ));
+            }
+        }
+    }
+    mismatches
 }
 
 /// The outcome of a whole run.
@@ -924,9 +946,10 @@ mod tests {
         .expect("in-memory engine")
         .check_benchmarks(&benches);
         assert_eq!(verdicts(&sequential), verdicts(&parallel));
-        for (b, run) in benches.iter().zip(&sequential.benchmarks) {
-            assert!(run.all_as_expected(b), "{}/{} regressed", b.adt, b.library);
-        }
+        assert_eq!(
+            verdict_mismatches("jobs=1", &benches, &sequential.benchmarks),
+            Vec::<String>::new()
+        );
     }
 
     #[test]
@@ -1133,11 +1156,17 @@ mod tests {
         assert!(cancelled_run.was_cancelled());
         // The blocker is unaffected and still verdict-correct.
         let blocker_run = blocker_handle.finish();
-        assert!(blocker_run.benchmarks[0].all_as_expected(&blocker[0]));
+        assert_eq!(
+            verdict_mismatches("blocker", &blocker, &blocker_run.benchmarks),
+            Vec::<String>::new()
+        );
         assert_eq!(blocker_run.cancelled, 0);
         // The engine stays serviceable: resubmitting the cancelled work completes it.
         let retry = engine.check_benchmarks(&victim);
-        assert!(retry.benchmarks[0].all_as_expected(&victim[0]));
+        assert_eq!(
+            verdict_mismatches("retry", &victim, &retry.benchmarks),
+            Vec::<String>::new()
+        );
         assert_eq!(retry.cancelled, 0);
     }
 
@@ -1164,8 +1193,11 @@ mod tests {
         assert_eq!(engine.dedup_hits(), first.dedup_hits + second.dedup_hits);
         for (b, run) in benches.iter().zip(&second.benchmarks) {
             assert_eq!(run.reports.len(), b.methods.len());
-            assert!(run.all_as_expected(b));
         }
+        assert_eq!(
+            verdict_mismatches("second", &benches, &second.benchmarks),
+            Vec::<String>::new()
+        );
     }
 
     #[test]

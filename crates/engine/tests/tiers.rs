@@ -6,7 +6,7 @@
 //! relative to a shared-only run or a sequential (`jobs=1`) run, while shared-tier
 //! shard-lock traffic drops.
 
-use hat_engine::{Engine, EngineConfig, MemoStore, RunSummary};
+use hat_engine::{verdict_mismatches, Engine, EngineConfig, MemoStore, RunSummary};
 use hat_suite::Benchmark;
 
 /// A handful of real configurations, small enough for debug-mode CI but covering
@@ -55,14 +55,10 @@ fn jobs6_local_tier_promotion_never_changes_a_verdict() {
         verdicts(&read_through),
         "jobs=6 with local-tier promotion must match jobs=1"
     );
-    for (bench, run) in benches().iter().zip(&read_through.benchmarks) {
-        assert!(
-            run.all_as_expected(bench),
-            "{}/{} regressed under read-through tiers",
-            bench.adt,
-            bench.library
-        );
-    }
+    assert_eq!(
+        verdict_mismatches("jobs=6 read-through", &benches(), &read_through.benchmarks),
+        Vec::<String>::new()
+    );
 }
 
 #[test]

@@ -11,11 +11,15 @@
 //!    instantiation for universal strength — sound for entailment);
 //! 3. the propositional skeleton is Tseitin-encoded and searched by DPLL;
 //! 4. each propositional model is checked against the theory (congruence closure over
-//!    uninterpreted functions + integer difference bounds); theory conflicts become
-//!    blocking clauses.
+//!    uninterpreted functions + integer difference bounds); a theory conflict is
+//!    minimised to a core with QuickXplain and becomes a blocking clause;
+//! 5. every core is also kept as a lemma of the [`Solver`] (see `lemma.rs`), and every
+//!    later query or session it applies to starts with its blocking clause, so a
+//!    conflict is explained once per solver rather than once per query.
 //!
 //! Verdicts are a pure function of the query: the fresh-name counter restarts per query,
-//! so a canonically renamed query reproduces the same computation — the invariant the
+//! so a canonically renamed query reproduces the same computation up to the lemmas the
+//! solver already holds, which only ever save theory checks — the invariant the
 //! `hat-engine` cache relies on. For incremental workloads (minterm enumeration),
 //! [`Solver::scoped`] opens a [`ScopedSession`] that preprocesses the context and a
 //! literal pool once and answers each assumption-stack check with one DPLL+theory pass.
@@ -41,6 +45,7 @@
 //! ```
 
 mod cnf;
+mod lemma;
 mod sat;
 mod theory;
 
@@ -54,6 +59,8 @@ use crate::simplify::{simplify, to_nnf};
 use crate::sort::Sort;
 use crate::term::{FuncSym, Term};
 use crate::Ident;
+use lemma::Lemmas;
+use sat::Model;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -68,7 +75,8 @@ pub struct SolverStats {
     pub unsat: usize,
     /// Total time spent inside the solver.
     pub time: Duration,
-    /// Number of theory (congruence/difference-bound) consistency checks performed.
+    /// Number of theory (congruence/difference-bound) consistency checks performed,
+    /// including those made while minimising conflict cores.
     pub theory_checks: usize,
     /// Number of incremental checks answered by scoped sessions ([`Solver::scoped`]).
     /// These are *not* counted in `queries`: a scoped check reuses a preprocessed CNF
@@ -84,6 +92,10 @@ impl SolverStats {
 }
 
 /// The solver. Construction is cheap; axioms can be shared across queries.
+///
+/// A solver keeps every theory conflict core it finds as a lemma for its lifetime and
+/// hands each applicable one to later queries and sessions as a blocking clause. Lemmas
+/// save theory checks and never change an answer; a fresh solver holds none.
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
     /// Background axioms (method-predicate lemmas and function signatures).
@@ -93,6 +105,7 @@ pub struct Solver {
     /// Maximum number of axiom instantiations per query (guards against blow-up).
     pub max_instantiations: usize,
     fresh: usize,
+    lemmas: Lemmas,
 }
 
 /// Declared sorts of the free variables of a query.
@@ -106,6 +119,7 @@ impl Solver {
             stats: SolverStats::default(),
             max_instantiations: 4096,
             fresh: 0,
+            lemmas: Lemmas::default(),
         }
     }
 
@@ -174,41 +188,60 @@ impl Solver {
         let root = builder.encode(&final_formula);
         builder.assert_lit(root);
         let atoms = builder.atoms().to_vec();
-        let mut sat = SatSolver::new(builder.num_vars(), builder.take_clauses());
+        let mut sat = self.sat_with_lemmas(&mut builder, &env);
 
         // Lazy theory loop.
         loop {
-            match sat.solve() {
-                None => return false,
-                Some(model) => {
-                    self.stats.theory_checks += 1;
-                    let lits: Vec<(Atom, bool)> = atoms
-                        .iter()
-                        .filter_map(|(atom, var)| model.get(*var).map(|b| (atom.clone(), b)))
-                        .collect();
-                    let check = TheoryCheck::new(&env, &self.axioms);
-                    match check.consistent(&lits) {
-                        Ok(()) => return true,
-                        Err(core) => {
-                            // Block this (partial) assignment.
-                            let clause: Vec<Lit> = core
-                                .iter()
-                                .filter_map(|(atom, val)| {
-                                    atoms.iter().find(|(a, _)| a == atom).map(|(_, var)| Lit {
-                                        var: *var,
-                                        positive: !*val,
-                                    })
-                                })
-                                .collect();
-                            if clause.is_empty() {
-                                return false;
-                            }
-                            sat.add_clause(clause);
-                        }
-                    }
-                }
+            let Some(model) = sat.solve() else {
+                return false;
+            };
+            match self.theory_conflict(&env, &atoms, &model) {
+                None => return true,
+                // Block this (partial) assignment.
+                Some(clause) => sat.add_clause(clause),
             }
         }
+    }
+
+    /// The SAT solver over a built CNF, seeded with the blocking clause of every lemma
+    /// that applies to the CNF's atoms under `env`.
+    fn sat_with_lemmas(&self, builder: &mut CnfBuilder, env: &BTreeMap<Ident, Sort>) -> SatSolver {
+        let lemma_clauses = self.lemmas.clauses_for(builder.atoms(), env, &self.axioms);
+        let mut sat = SatSolver::new(builder.num_vars(), builder.take_clauses());
+        for clause in lemma_clauses {
+            sat.add_clause(clause);
+        }
+        sat
+    }
+
+    /// Checks a DPLL model against the theory. `None` if it is consistent; otherwise
+    /// the clause that blocks its minimised conflict core, which the solver also keeps
+    /// as a lemma.
+    fn theory_conflict(
+        &mut self,
+        env: &BTreeMap<Ident, Sort>,
+        atoms: &[(Atom, usize)],
+        model: &Model,
+    ) -> Option<Vec<Lit>> {
+        let lits: Vec<(Atom, bool)> = atoms
+            .iter()
+            .filter_map(|(atom, var)| model.get(*var).map(|b| (atom.clone(), b)))
+            .collect();
+        let check = TheoryCheck::new(env, &self.axioms);
+        let verdict = check.consistent(&lits);
+        self.stats.theory_checks += check.checks();
+        let core = verdict.err()?;
+        let clause = core
+            .iter()
+            .filter_map(|(atom, val)| {
+                atoms.iter().find(|(a, _)| a == atom).map(|(_, var)| Lit {
+                    var: *var,
+                    positive: !*val,
+                })
+            })
+            .collect();
+        self.lemmas.learn(&core, env, &self.axioms);
+        Some(clause)
     }
 
     /// Collects ground-ish terms of the formula bucketed by (best-effort) sort,
@@ -350,7 +383,8 @@ impl Solver {
     ///
     /// Theory conflicts discovered during any check are learned as blocking clauses and
     /// persist for the lifetime of the session (they are assumption-independent facts),
-    /// so later checks never re-discover them.
+    /// so later checks never re-discover them; they are also kept as lemmas of the
+    /// solver, and the session starts with every earlier lemma that applies to it.
     pub fn scoped<'a>(
         &'a mut self,
         vars: &SortEnv,
@@ -404,7 +438,7 @@ impl Solver {
             .map(|a| builder.encode(&Formula::Atom(a.clone())).var)
             .collect();
         let atoms = builder.atoms().to_vec();
-        let sat = SatSolver::new(builder.num_vars(), builder.take_clauses());
+        let sat = self.sat_with_lemmas(&mut builder, &env);
         ScopedSession {
             solver: self,
             env,
@@ -475,9 +509,9 @@ impl Solver {
 /// a pool of candidate literals, and a stack of assumed literal polarities.
 ///
 /// The session owns one SAT solver instance whose clause database (base CNF, axiom
-/// instances, learned theory conflicts) persists across checks. Assumptions are scoped to
-/// each check, so `assume`/`retract` are O(1): nothing is rebuilt when the search moves
-/// between branches.
+/// instances, the solver's applicable lemmas, learned theory conflicts) persists across
+/// checks. Assumptions are scoped to each check, so `assume`/`retract` are O(1): nothing
+/// is rebuilt when the search moves between branches.
 pub struct ScopedSession<'a> {
     solver: &'a mut Solver,
     env: BTreeMap<Ident, Sort>,
@@ -570,54 +604,24 @@ impl ScopedSession<'_> {
             // Branch on the candidate pool first: blocking clauses live entirely within
             // the pool variables, so AllSAT enumeration conflicts surface within the
             // first |pool| decisions instead of deep inside the Tseitin encoding.
-            let solved = self
+            let model = self
                 .sat
-                .solve_prioritised(&self.assumptions, &self.literal_vars);
-            match solved {
-                None => return None,
-                Some(model) => {
-                    self.solver.stats.theory_checks += 1;
-                    let lits: Vec<(Atom, bool)> = self
-                        .atoms
+                .solve_prioritised(&self.assumptions, &self.literal_vars)?;
+            let Some(clause) = self.solver.theory_conflict(&self.env, &self.atoms, &model) else {
+                return Some(
+                    self.literal_vars
                         .iter()
-                        .filter_map(|(atom, var)| model.get(*var).map(|b| (atom.clone(), b)))
-                        .collect();
-                    let check = TheoryCheck::new(&self.env, &self.solver.axioms);
-                    match check.consistent(&lits) {
-                        Ok(()) => {
-                            return Some(
-                                self.literal_vars
-                                    .iter()
-                                    // Totality is load-bearing: a defaulted polarity
-                                    // would bypass the theory check just performed.
-                                    .map(|v| model.get(*v).expect("dpll models are total"))
-                                    .collect(),
-                            );
-                        }
-                        Err(core) => {
-                            // A theory conflict is assumption-independent: the blocked
-                            // assignment is inconsistent with the theory itself, so the
-                            // learned clause is sound for every later check too.
-                            let clause: Vec<Lit> =
-                                core.iter()
-                                    .filter_map(|(atom, val)| {
-                                        self.atoms.iter().find(|(a, _)| a == atom).map(
-                                            |(_, var)| Lit {
-                                                var: *var,
-                                                positive: !*val,
-                                            },
-                                        )
-                                    })
-                                    .collect();
-                            if clause.is_empty() {
-                                return None;
-                            }
-                            self.conflicts += 1;
-                            self.sat.add_clause(clause);
-                        }
-                    }
-                }
-            }
+                        // Totality is load-bearing: a defaulted polarity would bypass the
+                        // theory check just performed.
+                        .map(|v| model.get(*v).expect("dpll models are total"))
+                        .collect(),
+                );
+            };
+            // A theory conflict is assumption-independent: the blocked assignment is
+            // inconsistent with the theory itself, so the learned clause is sound for every
+            // later check too.
+            self.conflicts += 1;
+            self.sat.add_clause(clause);
         }
     }
 
@@ -1006,6 +1010,95 @@ mod tests {
             "a scoped session must not leak fresh names"
         );
         assert!(with_session.stats.scoped_checks >= 1);
+    }
+
+    /// Theory checks `s` spends refuting `x < y ∧ y < x` with `x` of sort `x_sort`.
+    fn refute_cycle(s: &mut Solver, x_sort: Sort) -> usize {
+        let vars = vec![("x".to_string(), x_sort), ("y".to_string(), Sort::Int)];
+        let cycle = Formula::and(vec![
+            Formula::lt(Term::var("x"), Term::var("y")),
+            Formula::lt(Term::var("y"), Term::var("x")),
+        ]);
+        let before = s.stats.theory_checks;
+        assert!(!s.is_satisfiable(&vars, &cycle));
+        s.stats.theory_checks - before
+    }
+
+    #[test]
+    fn lemmas_are_reused_only_under_the_variable_sorts_they_were_found_with() {
+        let fresh = refute_cycle(&mut Solver::default(), Sort::named("T"));
+        let mut s = Solver::default();
+        assert!(
+            refute_cycle(&mut s, Sort::Int) > 0,
+            "the first refutation needs the theory"
+        );
+        assert_eq!(
+            refute_cycle(&mut s, Sort::Int),
+            0,
+            "the lemma blocks the conflict before DPLL proposes it"
+        );
+        assert_eq!(
+            refute_cycle(&mut s, Sort::named("T")),
+            fresh,
+            "a lemma found with x: Int is not reused where x has another sort"
+        );
+    }
+
+    #[test]
+    fn lemmas_over_a_function_are_dropped_when_its_result_sort_changes() {
+        let env = vec![
+            ("a".to_string(), Sort::named("T")),
+            ("y".to_string(), Sort::Int),
+        ];
+        let len_a = Term::app("len", vec![Term::var("a")]);
+        let cycle = Formula::and(vec![
+            Formula::lt(len_a.clone(), Term::var("y")),
+            Formula::lt(Term::var("y"), len_a),
+        ]);
+        let with_len_sort = |ret: Sort| {
+            let mut axioms = AxiomSet::new();
+            axioms.declare_func("len", vec![Sort::named("T")], ret);
+            axioms
+        };
+        let refute = |s: &mut Solver| {
+            let before = s.stats.theory_checks;
+            assert!(!s.is_satisfiable(&env, &cycle));
+            s.stats.theory_checks - before
+        };
+        let fresh = refute(&mut Solver::with_axioms(with_len_sort(Sort::named("N"))));
+        let mut s = Solver::with_axioms(with_len_sort(Sort::Int));
+        assert!(refute(&mut s) > 0);
+        assert_eq!(refute(&mut s), 0, "same axioms: the lemma is reused");
+        s.axioms = with_len_sort(Sort::named("N"));
+        assert_eq!(
+            refute(&mut s),
+            fresh,
+            "a lemma over len(..) is not reused once len's result sort differs"
+        );
+    }
+
+    #[test]
+    fn sessions_start_with_the_lemmas_of_earlier_queries() {
+        let env = int_env();
+        let literals = vec![
+            Atom::Lt(Term::var("x"), Term::var("y")),
+            Atom::Lt(Term::var("y"), Term::var("x")),
+        ];
+        let conflicts = |s: &mut Solver| {
+            let mut session = s.scoped(&env, &[], &literals);
+            while let Some(projection) = session.check() {
+                session.block(&projection);
+            }
+            session.conflicts()
+        };
+        let mut s = Solver::default();
+        assert_eq!(conflicts(&mut s), 1, "x < y ∧ y < x is found once");
+        assert_eq!(conflicts(&mut s), 0, "and never again by this solver");
+        assert_eq!(
+            conflicts(&mut Solver::default()),
+            1,
+            "a fresh solver holds no lemmas"
+        );
     }
 
     #[test]

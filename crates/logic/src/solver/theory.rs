@@ -7,6 +7,7 @@ use crate::formula::Atom;
 use crate::sort::Sort;
 use crate::term::{FuncSym, Term};
 use crate::Ident;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// A theory consistency checker for a fixed sort environment and axiom set.
@@ -14,6 +15,8 @@ use std::collections::BTreeMap;
 pub struct TheoryCheck<'a> {
     env: &'a BTreeMap<Ident, Sort>,
     axioms: &'a AxiomSet,
+    /// Consistency checks made so far, core minimisation included.
+    checks: Cell<usize>,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,7 +131,17 @@ impl Egraph {
 impl<'a> TheoryCheck<'a> {
     /// Creates a checker for the given variable sorts and axioms.
     pub fn new(env: &'a BTreeMap<Ident, Sort>, axioms: &'a AxiomSet) -> Self {
-        TheoryCheck { env, axioms }
+        TheoryCheck {
+            env,
+            axioms,
+            checks: Cell::new(0),
+        }
+    }
+
+    /// Number of consistency checks made so far: one per [`TheoryCheck::consistent`]
+    /// call, plus those its core minimisation made.
+    pub fn checks(&self) -> usize {
+        self.checks.get()
     }
 
     fn term_is_int(&self, t: &Term) -> bool {
@@ -144,36 +157,59 @@ impl<'a> TheoryCheck<'a> {
     /// Checks whether the literal set is consistent with the theory.
     ///
     /// On conflict, returns a *minimised* conflict core: a subset of the literals that is
-    /// still theory-inconsistent and from which no single literal can be removed. Small
-    /// cores matter enormously for the lazy-SMT loop: a blocking clause built from the
-    /// full literal set excludes exactly one propositional model, so the loop can cycle
-    /// through exponentially many theory-equivalent models; a blocking clause built from
-    /// a minimal core excludes the whole family at once.
+    /// still theory-inconsistent and from which no single literal can be removed, in the
+    /// order the literals were given. Small cores matter enormously for the lazy-SMT
+    /// loop: a blocking clause built from the full literal set excludes exactly one
+    /// propositional model, so the loop can cycle through exponentially many
+    /// theory-equivalent models; a blocking clause built from a minimal core excludes
+    /// the whole family at once.
     pub fn consistent(&self, lits: &[(Atom, bool)]) -> Result<(), Vec<(Atom, bool)>> {
-        if self.check(lits) {
-            Ok(())
-        } else {
-            Err(self.minimise_core(lits.to_vec()))
+        let all: Vec<&(Atom, bool)> = lits.iter().collect();
+        if self.check(&all) {
+            return Ok(());
         }
+        // QuickXplain keeps the candidates it is handed first wherever it can. Handed
+        // the literals last-first, it returns the core that deleting literals one at a
+        // time from the front would: the same core for the same model, deterministically.
+        let last_first: Vec<usize> = (0..lits.len()).rev().collect();
+        let mut core = self.quickxplain(lits, &mut Vec::new(), false, &last_first);
+        core.sort_unstable();
+        Err(core.into_iter().map(|i| lits[i].clone()).collect())
     }
 
-    /// Deletion-based core minimisation: drop each literal whose removal keeps the set
-    /// inconsistent. Deterministic (literals are visited in order), so cached verdicts
-    /// and parallel runs see identical blocking behaviour.
-    fn minimise_core(&self, mut core: Vec<(Atom, bool)>) -> Vec<(Atom, bool)> {
-        let mut i = 0;
-        while i < core.len() {
-            let removed = core.remove(i);
-            if self.check(&core) {
-                // The literal is load-bearing; put it back and move on.
-                core.insert(i, removed);
-                i += 1;
-            }
+    /// QuickXplain (Junker, AAAI'04): a minimal subset of `candidates` (indices into
+    /// `lits`) that is inconsistent together with `background`, given that the two
+    /// together are. It needs O(k log(n/k)) checks for a k-literal core among n
+    /// candidates, where deleting one literal at a time needs n. `grew` says whether
+    /// the caller just added to `background`; if not, `background` is known consistent
+    /// and is not checked again. `background` is restored before returning.
+    fn quickxplain(
+        &self,
+        lits: &[(Atom, bool)],
+        background: &mut Vec<usize>,
+        grew: bool,
+        candidates: &[usize],
+    ) -> Vec<usize> {
+        if grew && !self.check(&background.iter().map(|&i| &lits[i]).collect::<Vec<_>>()) {
+            return Vec::new();
         }
+        if candidates.len() <= 1 {
+            return candidates.to_vec();
+        }
+        let (first, second) = candidates.split_at(candidates.len() / 2);
+        let mark = background.len();
+        background.extend_from_slice(first);
+        let mut core = self.quickxplain(lits, background, true, second);
+        background.truncate(mark);
+        background.extend_from_slice(&core);
+        let first_core = self.quickxplain(lits, background, !core.is_empty(), first);
+        background.truncate(mark);
+        core.extend(first_core);
         core
     }
 
-    fn check(&self, lits: &[(Atom, bool)]) -> bool {
+    fn check(&self, lits: &[&(Atom, bool)]) -> bool {
+        self.checks.set(self.checks.get() + 1);
         let mut eg = Egraph::default();
         let true_node = eg.intern(Node::Const(Constant::Bool(true)));
         let false_node = eg.intern(Node::Const(Constant::Bool(false)));
@@ -225,7 +261,7 @@ impl<'a> TheoryCheck<'a> {
         eg: &mut Egraph,
         ordering: &[(Term, Term, bool, bool)],
         disequalities: &[(usize, usize)],
-        lits: &[(Atom, bool)],
+        lits: &[&(Atom, bool)],
     ) -> bool {
         // Collect integer-sorted terms: those in ordering atoms plus integer constants and
         // arithmetic offsets appearing anywhere.
@@ -390,6 +426,7 @@ impl<'a> TheoryCheck<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hat_testkit::XorShift;
 
     fn env() -> BTreeMap<Ident, Sort> {
         let mut m = BTreeMap::new();
@@ -529,6 +566,103 @@ mod tests {
             (Atom::Le(Term::var("y"), Term::var("x")), true),
         ];
         assert!(!check(lits));
+    }
+
+    /// A random literal over equalities, orderings with integer constants and offsets,
+    /// predicates and function applications, drawn from a small term pool so that
+    /// random sets conflict often.
+    fn random_literal(rng: &mut XorShift) -> (Atom, bool) {
+        let int_terms = [
+            Term::var("x"),
+            Term::var("y"),
+            Term::int(0),
+            Term::int(2),
+            Term::add(Term::var("x"), Term::int(1)),
+            Term::sub(Term::var("y"), Term::int(1)),
+            Term::app("len", vec![Term::var("a")]),
+            Term::app("len", vec![Term::var("b")]),
+        ];
+        let named_terms = [
+            Term::var("a"),
+            Term::var("b"),
+            Term::atom("k1"),
+            Term::atom("k2"),
+            Term::app("f", vec![Term::var("a")]),
+            Term::app("f", vec![Term::var("b")]),
+        ];
+        let atom = match rng.below(5) {
+            0 => Atom::Eq(rng.pick(&int_terms).clone(), rng.pick(&int_terms).clone()),
+            1 => Atom::Lt(rng.pick(&int_terms).clone(), rng.pick(&int_terms).clone()),
+            2 => Atom::Le(rng.pick(&int_terms).clone(), rng.pick(&int_terms).clone()),
+            3 => Atom::Eq(
+                rng.pick(&named_terms).clone(),
+                rng.pick(&named_terms).clone(),
+            ),
+            _ => Atom::Pred("p".into(), vec![rng.pick(&named_terms).clone()]),
+        };
+        (atom, rng.flip())
+    }
+
+    #[test]
+    fn quickxplain_cores_are_inconsistent_and_irreducible() {
+        let env = env();
+        let mut axioms = AxiomSet::new();
+        axioms.declare_func("len", vec![Sort::named("T")], Sort::Int);
+        axioms.declare_func("f", vec![Sort::named("T")], Sort::named("T"));
+        let theory = TheoryCheck::new(&env, &axioms);
+        let mut rng = XorShift(0x51c0_ffee_d00d_f00d);
+        let mut conflicts = 0;
+        for case in 0..400 {
+            // A DPLL model assigns each atom once.
+            let mut lits: Vec<(Atom, bool)> = Vec::new();
+            for _ in 0..2 + rng.below(14) {
+                let lit = random_literal(&mut rng);
+                if lits.iter().all(|(a, _)| *a != lit.0) {
+                    lits.push(lit);
+                }
+            }
+            let Err(core) = theory.consistent(&lits) else {
+                continue;
+            };
+            conflicts += 1;
+            let positions: Vec<usize> = core
+                .iter()
+                .map(|l| lits.iter().position(|m| m == l).expect("core ⊆ literals"))
+                .collect();
+            assert!(
+                positions.windows(2).all(|w| w[0] < w[1]),
+                "case {case}: the core keeps the literals' order: {core:?}"
+            );
+            assert!(
+                theory.consistent(&core).is_err(),
+                "case {case}: core {core:?} of {lits:?} is consistent"
+            );
+            for i in 0..core.len() {
+                let mut smaller = core.clone();
+                let dropped = smaller.remove(i);
+                assert!(
+                    theory.consistent(&smaller).is_ok(),
+                    "case {case}: core {core:?} stays inconsistent without {dropped:?}"
+                );
+            }
+        }
+        assert!(conflicts >= 100, "only {conflicts} of 400 sets conflicted");
+    }
+
+    #[test]
+    fn checks_count_core_minimisation() {
+        let e = env();
+        let ax = AxiomSet::new();
+        let theory = TheoryCheck::new(&e, &ax);
+        let cycle = vec![
+            (Atom::Lt(Term::var("x"), Term::var("y")), true),
+            (Atom::Pred("p".into(), vec![Term::var("a")]), true),
+            (Atom::Lt(Term::var("y"), Term::var("x")), true),
+        ];
+        assert!(theory.consistent(&cycle[..2]).is_ok());
+        assert_eq!(theory.checks(), 1, "a consistent set costs one check");
+        assert_eq!(theory.consistent(&cycle).unwrap_err().len(), 2);
+        assert!(theory.checks() > 2, "minimisation checks are counted too");
     }
 
     #[test]

@@ -240,6 +240,11 @@ pub trait SolverOracle {
     fn query_count(&self) -> usize;
     /// Total time spent answering queries (for the `t_SAT` column).
     fn query_time(&self) -> Duration;
+    /// Number of theory consistency checks the underlying solver made, core
+    /// minimisation included (0 for an oracle that does not count them).
+    fn theory_checks(&self) -> usize {
+        0
+    }
     /// Number of queries answered from a shared result cache (0 for an uncached solver).
     fn cache_hits(&self) -> usize {
         0
@@ -314,6 +319,10 @@ impl SolverOracle for hat_logic::Solver {
 
     fn query_time(&self) -> Duration {
         self.stats.time
+    }
+
+    fn theory_checks(&self) -> usize {
+        self.stats.theory_checks
     }
 
     fn scoped_session<'a>(

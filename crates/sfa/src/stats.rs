@@ -159,9 +159,9 @@ counters! {
     /// Work counters of the per-method columns of Tables 1/3/4. A method report holds
     /// one method's counters; an [`InclusionChecker`](crate::InclusionChecker) keeps
     /// the running totals of the counters its checks own (the oracle readings
-    /// `sat_queries`, `sat_time`, `cache_hits`, `cache_misses` and `shared_tier_locks`,
-    /// and `total_time` and `assumed_preconditions`, are filled in by the type
-    /// checker).
+    /// `sat_queries`, `sat_time`, `theory_checks`, `cache_hits`, `cache_misses` and
+    /// `shared_tier_locks`, and `total_time` and `assumed_preconditions`, are filled in
+    /// by the type checker).
     pub struct CheckStats {
         /// Number of SMT queries (`#SAT`).
         sat_queries: usize,
@@ -191,6 +191,10 @@ counters! {
         enum_queries: usize,
         /// Number of unsatisfiable enumeration branches abandoned (pruned subtrees).
         pruned_subtrees: usize,
+        /// Number of theory consistency checks the solver made: one per DPLL model it
+        /// checked, plus those made while minimising conflict cores. Solver-query cache
+        /// hits make none.
+        theory_checks: usize,
         /// Number of alphabet transformations answered from the minterm-set memo.
         minterm_memo_hits: usize,
         /// Number of whole automata-inclusion checks answered from the inclusion memo.

@@ -104,6 +104,49 @@ fn inclusion_verdicts_are_identical_across_modes() {
     }
 }
 
+/// A solver keeps the theory conflict cores it finds as lemmas for its lifetime. One
+/// solver reused across every case, and so carrying lemmas from earlier cases, must
+/// build the minterm sets and reach the inclusion verdicts of a fresh, lemma-free
+/// solver per case, in both enumeration modes, while making fewer theory checks.
+#[test]
+fn a_solver_carrying_lemmas_matches_fresh_solvers() {
+    for mode in [EnumerationMode::Naive, EnumerationMode::Incremental] {
+        let mut rng = XorShift(0x6a09e667f3bcc909);
+        let mut carrying = Solver::default();
+        let mut fresh_theory_checks = 0;
+        for case in 0..24 {
+            let (ctx, ops, a, b) = random_case(&mut rng, &ops());
+            let mut fresh = Solver::default();
+            let expected = build_minterms_with(&ctx, &ops, &[&a, &b], &mut fresh, mode);
+            let got = build_minterms_with(&ctx, &ops, &[&a, &b], &mut carrying, mode);
+            assert_eq!(
+                got.minterms, expected.minterms,
+                "{mode:?} case {case}: minterm sets diverged for {a} vs {b}"
+            );
+            assert_eq!(got.uniform_literals, expected.uniform_literals);
+
+            let verdict = |solver: &mut Solver| {
+                let mut checker = InclusionChecker::new(ops.clone());
+                checker.enumeration = mode;
+                checker.check(&ctx, &a, &b, solver).ok()
+            };
+            let mut fresh_for_verdict = Solver::default();
+            assert_eq!(
+                verdict(&mut carrying),
+                verdict(&mut fresh_for_verdict),
+                "{mode:?} case {case}: inclusion verdict diverged for {a} ⊆ {b}"
+            );
+            fresh_theory_checks +=
+                fresh.stats.theory_checks + fresh_for_verdict.stats.theory_checks;
+        }
+        assert!(
+            carrying.stats.theory_checks < fresh_theory_checks,
+            "{mode:?}: lemmas saved no theory check ({} vs {fresh_theory_checks})",
+            carrying.stats.theory_checks
+        );
+    }
+}
+
 #[test]
 fn incremental_reduces_queries_on_a_pruning_heavy_space() {
     // Three events over the same operator argument with pairwise-distinct context terms:

@@ -211,7 +211,7 @@ fn filesystem_kvstore() -> Benchmark {
         delta: kvstore_delta(),
         model: kvstore_model(),
         methods,
-        // ~5 s cold in release with the default pipeline, which every other `table1`
+        // ~2–3 s cold in release with the default pipeline, which every other `table1`
         // knob run checks, but its naive-enumeration baseline takes ~4 min.
         slow: true,
     }

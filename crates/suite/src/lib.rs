@@ -80,7 +80,7 @@ pub struct Benchmark {
     /// Whether naive minterm enumeration is infeasible on this configuration, so the
     /// naive-enumeration run of the `table1` ablation leaves it out (and debug-build
     /// snapshot tests skip it for time). Only `FileSystem/KVStore` is flagged: the
-    /// default pipeline checks it cold in ~5 s in release, its naive baseline takes
+    /// default pipeline checks it cold in ~2–3 s in release, its naive baseline takes
     /// ~4 min.
     pub slow: bool,
 }
