@@ -45,8 +45,8 @@
 //!                   or `materialise` (build both complete DFAs first; verdict-identical,
 //!                   kept as the measurement baseline)
 //!   --subsume M     antichain subsumption pruning of the on-the-fly product frontier:
-//!                   `simulation` (default — syntactic rules plus a memoised simulation
-//!                   preorder over already-derived transition rows, persisted as `U`
+//!                   `simulation` (default — syntactic rules plus a simulation preorder
+//!                   over already-derived transition rows, memoised for the run as `U`
 //!                   records), `syntactic` (structural rules only, zero extra memo
 //!                   traffic) or `off` (the measurement baseline). All three are
 //!                   verdict-identical; ignored by `--inclusion materialise`
@@ -348,7 +348,6 @@ fn run(benches: Vec<Benchmark>, opts: &Options, request: Request) -> bool {
         inclusion: opts.inclusion,
         subsume: opts.subsume,
         local_tiers: opts.local_tiers,
-        memtable_bytes: None,
     }) {
         Ok(engine) => engine,
         Err(e) => {
@@ -391,6 +390,11 @@ fn cache_stats(path: &str) -> Result<(), String> {
         (RecordKind::Subsumption, stats.subsumption),
     ] {
         println!("  {:<24} {:>8}", format!("{}:", kind.label()), count);
+    }
+    if stats.transitions + stats.subsumption > 0 {
+        println!(
+            "  (T and U records are never read; the next writer to open the store drops them)"
+        );
     }
     if stats.version == Some(6) {
         let torn = if stats.torn_segments > 0 {
@@ -451,7 +455,6 @@ fn daemon_start(opts: &Options) -> Result<(), String> {
             inclusion: opts.inclusion,
             subsume: opts.subsume,
             local_tiers: opts.local_tiers,
-            memtable_bytes: None,
         },
         max_connections: opts.max_connections,
         max_client_jobs: opts.max_client_jobs,

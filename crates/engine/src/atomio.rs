@@ -21,27 +21,10 @@
 //!
 //! Unparseable payloads are rejected (`None`), which the cache counts as stale lines —
 //! a torn final write degrades to a cold enumeration, never to a wrong alphabet.
-//!
-//! `hat-engine-cache v6` additionally persists the transition memo as `T` records whose
-//! payload is a canonical (alpha-normalised) successor [`Sfa`], in the same discipline:
-//!
-//! ```text
-//! sfa     := 'Z' | 'E' | 'V' event | 'G' formula | '!' sfa | '&' count { sfa }
-//!          | '|' count { sfa } | ';' sfa sfa | 'X' sfa | 'U' sfa sfa | '*' sfa
-//! event   := name count { name } name formula        op, args, result, phi
-//! formula := 'T' | 'F' | 'A' atom | 'N' formula | '&' count { formula }
-//!          | '|' count { formula } | 'I' formula formula | 'B' formula formula
-//!          | 'Q' name sort formula
-//! sort    := 'u' | 'b' | 'i' | 'n' name
-//! ```
 
-use hat_logic::{Atom, Constant, Formula, FuncSym, Sort, Term};
-use hat_sfa::{Minterm, MintermSet, Sfa, SymbolicEvent};
+use hat_logic::{Atom, Constant, FuncSym, Term};
+use hat_sfa::{Minterm, MintermSet};
 use std::fmt::Write as _;
-
-/// Nesting bound for parsed [`Sfa`]/[`Formula`] payloads: a corrupt segment line must
-/// degrade to a cold derivation, not blow the parser's stack.
-const MAX_DEPTH: usize = 128;
 
 /// Serialises a canonical minterm set into a single line-safe payload.
 pub fn ser_minterm_set(set: &MintermSet) -> String {
@@ -113,132 +96,6 @@ pub fn parse_minterm_set(payload: &str) -> Option<MintermSet> {
         enum_queries,
         from_memo: false,
     })
-}
-
-/// Serialises a canonical successor automaton into a single line-safe payload for a `T`
-/// (transition memo) cache record.
-pub fn ser_sfa(sfa: &Sfa) -> String {
-    let mut out = String::with_capacity(128);
-    ser_sfa_into(sfa, &mut out);
-    out
-}
-
-/// Parses a payload produced by [`ser_sfa`]. Returns `None` on any malformation,
-/// trailing garbage, or nesting beyond `MAX_DEPTH`.
-pub fn parse_sfa(payload: &str) -> Option<Sfa> {
-    let mut p = Parser { rest: payload };
-    let sfa = p.sfa(0)?;
-    p.rest.is_empty().then_some(sfa)
-}
-
-fn ser_sfa_into(sfa: &Sfa, out: &mut String) {
-    match sfa {
-        Sfa::Zero => out.push('Z'),
-        Sfa::Epsilon => out.push('E'),
-        Sfa::Event(ev) => {
-            out.push('V');
-            ser_name(&ev.op, out);
-            ser_count(ev.args.len(), out);
-            for a in &ev.args {
-                ser_name(a, out);
-            }
-            ser_name(&ev.result, out);
-            ser_formula_into(&ev.phi, out);
-        }
-        Sfa::Guard(phi) => {
-            out.push('G');
-            ser_formula_into(phi, out);
-        }
-        Sfa::Not(a) => {
-            out.push('!');
-            ser_sfa_into(a, out);
-        }
-        Sfa::And(xs) => {
-            out.push('&');
-            ser_count(xs.len(), out);
-            for x in xs {
-                ser_sfa_into(x, out);
-            }
-        }
-        Sfa::Or(xs) => {
-            out.push('|');
-            ser_count(xs.len(), out);
-            for x in xs {
-                ser_sfa_into(x, out);
-            }
-        }
-        Sfa::Concat(a, b) => {
-            out.push(';');
-            ser_sfa_into(a, out);
-            ser_sfa_into(b, out);
-        }
-        Sfa::Next(a) => {
-            out.push('X');
-            ser_sfa_into(a, out);
-        }
-        Sfa::Until(a, b) => {
-            out.push('U');
-            ser_sfa_into(a, out);
-            ser_sfa_into(b, out);
-        }
-        Sfa::Star(a) => {
-            out.push('*');
-            ser_sfa_into(a, out);
-        }
-    }
-}
-
-fn ser_formula_into(phi: &Formula, out: &mut String) {
-    match phi {
-        Formula::True => out.push('T'),
-        Formula::False => out.push('F'),
-        Formula::Atom(a) => {
-            out.push('A');
-            ser_atom(a, out);
-        }
-        Formula::Not(f) => {
-            out.push('N');
-            ser_formula_into(f, out);
-        }
-        Formula::And(fs) => {
-            out.push('&');
-            ser_count(fs.len(), out);
-            for f in fs {
-                ser_formula_into(f, out);
-            }
-        }
-        Formula::Or(fs) => {
-            out.push('|');
-            ser_count(fs.len(), out);
-            for f in fs {
-                ser_formula_into(f, out);
-            }
-        }
-        Formula::Implies(a, b) => {
-            out.push('I');
-            ser_formula_into(a, out);
-            ser_formula_into(b, out);
-        }
-        Formula::Iff(a, b) => {
-            out.push('B');
-            ser_formula_into(a, out);
-            ser_formula_into(b, out);
-        }
-        Formula::Forall(x, sort, f) => {
-            out.push('Q');
-            ser_name(x, out);
-            match sort {
-                Sort::Unit => out.push('u'),
-                Sort::Bool => out.push('b'),
-                Sort::Int => out.push('i'),
-                Sort::Named(n) => {
-                    out.push('n');
-                    ser_name(n, out);
-                }
-            }
-            ser_formula_into(f, out);
-        }
-    }
 }
 
 fn ser_count(n: usize, out: &mut String) {
@@ -374,109 +231,6 @@ impl Parser<'_> {
         let body = self.rest.get(hash + 1..hash + 1 + len)?;
         self.rest = &self.rest[hash + 1 + len..];
         unescape(body)
-    }
-
-    fn sfa(&mut self, depth: usize) -> Option<Sfa> {
-        if depth > MAX_DEPTH {
-            return None;
-        }
-        match self.bump()? {
-            'Z' => Some(Sfa::Zero),
-            'E' => Some(Sfa::Epsilon),
-            'V' => {
-                let op = self.name()?;
-                let n = self.count()?;
-                let mut args = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    args.push(self.name()?);
-                }
-                let result = self.name()?;
-                let phi = self.formula(depth + 1)?;
-                Some(Sfa::Event(SymbolicEvent {
-                    op,
-                    args,
-                    result,
-                    phi,
-                }))
-            }
-            'G' => Some(Sfa::Guard(self.formula(depth + 1)?)),
-            '!' => Some(Sfa::Not(Box::new(self.sfa(depth + 1)?))),
-            '&' => {
-                let n = self.count()?;
-                let mut xs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    xs.push(self.sfa(depth + 1)?);
-                }
-                Some(Sfa::And(xs))
-            }
-            '|' => {
-                let n = self.count()?;
-                let mut xs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    xs.push(self.sfa(depth + 1)?);
-                }
-                Some(Sfa::Or(xs))
-            }
-            ';' => Some(Sfa::Concat(
-                Box::new(self.sfa(depth + 1)?),
-                Box::new(self.sfa(depth + 1)?),
-            )),
-            'X' => Some(Sfa::Next(Box::new(self.sfa(depth + 1)?))),
-            'U' => Some(Sfa::Until(
-                Box::new(self.sfa(depth + 1)?),
-                Box::new(self.sfa(depth + 1)?),
-            )),
-            '*' => Some(Sfa::Star(Box::new(self.sfa(depth + 1)?))),
-            _ => None,
-        }
-    }
-
-    fn formula(&mut self, depth: usize) -> Option<Formula> {
-        if depth > MAX_DEPTH {
-            return None;
-        }
-        match self.bump()? {
-            'T' => Some(Formula::True),
-            'F' => Some(Formula::False),
-            'A' => Some(Formula::Atom(self.atom()?)),
-            'N' => Some(Formula::Not(Box::new(self.formula(depth + 1)?))),
-            '&' => {
-                let n = self.count()?;
-                let mut fs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    fs.push(self.formula(depth + 1)?);
-                }
-                Some(Formula::And(fs))
-            }
-            '|' => {
-                let n = self.count()?;
-                let mut fs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    fs.push(self.formula(depth + 1)?);
-                }
-                Some(Formula::Or(fs))
-            }
-            'I' => Some(Formula::Implies(
-                Box::new(self.formula(depth + 1)?),
-                Box::new(self.formula(depth + 1)?),
-            )),
-            'B' => Some(Formula::Iff(
-                Box::new(self.formula(depth + 1)?),
-                Box::new(self.formula(depth + 1)?),
-            )),
-            'Q' => {
-                let x = self.name()?;
-                let sort = match self.bump()? {
-                    'u' => Sort::Unit,
-                    'b' => Sort::Bool,
-                    'i' => Sort::Int,
-                    'n' => Sort::Named(self.name()?),
-                    _ => return None,
-                };
-                Some(Formula::Forall(x, sort, Box::new(self.formula(depth + 1)?)))
-            }
-            _ => None,
-        }
     }
 
     fn atom(&mut self) -> Option<Atom> {
@@ -650,134 +404,6 @@ mod tests {
             let back = parse_minterm_set(&payload).expect("fuzzed payload parses");
             assert_eq!(back.minterms, set.minterms);
             assert_eq!(back.uniform_literals, set.uniform_literals);
-        }
-    }
-
-    fn sample_sfa() -> Sfa {
-        Sfa::Until(
-            Box::new(Sfa::Or(vec![
-                Sfa::Event(SymbolicEvent {
-                    op: "put".into(),
-                    args: vec!["#arg0".into(), "#arg1".into()],
-                    result: "#res".into(),
-                    phi: Formula::Implies(
-                        Box::new(Formula::Atom(Atom::Eq(
-                            Term::var("#arg0"),
-                            Term::var("$k0"),
-                        ))),
-                        Box::new(Formula::Forall(
-                            "p".into(),
-                            Sort::Named("Path.t".into()),
-                            Box::new(Formula::Iff(
-                                Box::new(Formula::Atom(Atom::Pred(
-                                    "isDir".into(),
-                                    vec![Term::var("p")],
-                                ))),
-                                Box::new(Formula::False),
-                            )),
-                        )),
-                    ),
-                }),
-                Sfa::Guard(Formula::And(vec![
-                    Formula::True,
-                    Formula::Not(Box::new(Formula::Atom(Atom::BoolTerm(Term::var("$k2"))))),
-                ])),
-                Sfa::Concat(
-                    Box::new(Sfa::Epsilon),
-                    Box::new(Sfa::Star(Box::new(Sfa::Next(Box::new(Sfa::Zero))))),
-                ),
-            ])),
-            Box::new(Sfa::Not(Box::new(Sfa::And(vec![
-                Sfa::Guard(Formula::Or(vec![])),
-                Sfa::Guard(Formula::Forall(
-                    "n".into(),
-                    Sort::Int,
-                    Box::new(Formula::True),
-                )),
-                Sfa::Guard(Formula::Forall(
-                    "u".into(),
-                    Sort::Unit,
-                    Box::new(Formula::True),
-                )),
-                Sfa::Guard(Formula::Forall(
-                    "b".into(),
-                    Sort::Bool,
-                    Box::new(Formula::True),
-                )),
-            ])))),
-        )
-    }
-
-    #[test]
-    fn sfa_roundtrip_preserves_structure() {
-        let sfa = sample_sfa();
-        let payload = ser_sfa(&sfa);
-        assert!(!payload.contains('\t') && !payload.contains('\n'));
-        let back = parse_sfa(&payload).expect("sfa roundtrip parses");
-        assert_eq!(back, sfa);
-    }
-
-    #[test]
-    fn sfa_truncations_and_garble_are_rejected() {
-        let payload = ser_sfa(&sample_sfa());
-        for cut in 0..payload.len() {
-            if payload.is_char_boundary(cut) {
-                assert!(
-                    parse_sfa(&payload[..cut]).is_none(),
-                    "truncation at {cut} must not parse"
-                );
-            }
-        }
-        assert!(parse_sfa(&format!("{payload}Z")).is_none());
-        assert!(parse_sfa("").is_none());
-        assert!(parse_sfa("?").is_none());
-        // Nesting past the depth bound is rejected, not a stack overflow.
-        let deep = format!("{}Z", "!".repeat(MAX_DEPTH + 2));
-        assert!(parse_sfa(&deep).is_none());
-    }
-
-    #[test]
-    fn sfa_hostile_names_fuzz_roundtrip() {
-        struct XorShift(u64);
-        impl XorShift {
-            fn next(&mut self) -> u64 {
-                let mut x = self.0;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                self.0 = x;
-                x
-            }
-        }
-        let alphabet: Vec<char> = vec![
-            '\t', '\n', '\r', '\\', '#', ';', 'Z', 'V', 'Q', '&', '|', '!', '*', '\u{7f}', '\u{2}',
-            'λ', '→', 'x',
-        ];
-        let mut rng = XorShift(0x9e3779b97f4a7c15);
-        for _ in 0..256 {
-            let len = (rng.next() % 12) as usize;
-            let name: String = (0..len)
-                .map(|_| alphabet[(rng.next() % alphabet.len() as u64) as usize])
-                .collect();
-            let sfa = Sfa::Event(SymbolicEvent {
-                op: name.clone(),
-                args: vec![name.clone(), name.clone()],
-                result: name.clone(),
-                phi: Formula::Forall(
-                    name.clone(),
-                    Sort::Named(name.clone()),
-                    Box::new(Formula::Atom(Atom::Eq(
-                        Term::var(name.clone()),
-                        Term::atom(name.clone()),
-                    ))),
-                ),
-            });
-            let payload = ser_sfa(&sfa);
-            assert!(
-                !payload.contains('\t') && !payload.contains('\n') && !payload.contains('\r'),
-                "payload for {name:?} leaks a record delimiter"
-            );
-            assert_eq!(parse_sfa(&payload).as_ref(), Some(&sfa));
         }
     }
 

@@ -6,8 +6,8 @@
 //! Six record kinds share the store (see [`RecordKind`]), and every kind takes the same
 //! path: [`MemoStore::lookup`] probes the shared tier, reads through to the disk tier
 //! and promotes a disk hit; [`MemoStore::insert`] logs a record line to the LSM
-//! memtable only when the shared insert is fresh. Values of every kind travel as one
-//! [`MemoValue`]:
+//! memtable only when the shared insert is fresh and the kind is one a warm run reads.
+//! Values of every kind travel as one [`MemoValue`]:
 //!
 //! * **Solver verdicts** (`S` records): one satisfiability bit per canonical query key.
 //! * **Inclusion verdicts** (`I` records): one bit per canonical automata-inclusion key —
@@ -19,26 +19,31 @@
 //! * **Minterm sets** (`M` records): whole memoised alphabet transformations keyed by
 //!   [`crate::canon::alphabet_key`], persisted through the line-safe atom serialisation
 //!   of [`crate::atomio`] — a warm run skips minterm enumeration entirely.
-//! * **DFA transitions** (`T` records): memoised `state × answers → successor`
-//!   derivatives keyed by [`crate::canon::transition_key`], persisted since v6 through
-//!   [`crate::atomio::ser_sfa`] — a warm run re-derives nothing.
-//! * **Subsumption verdicts** (`U` records): one simulation-preorder bit per canonical
-//!   residual pair, keyed by [`crate::canon::subsumption_key`] (no axiom fingerprint,
-//!   no state bound — a semantic fact about the pair) — a hit lets the antichain walk
-//!   prune a product pair whose transition rows were never even derived this run.
+//! * **DFA transitions** (`T`, in-process only): memoised `state × answers → successor`
+//!   derivatives keyed by [`crate::canon::transition_key`].
+//! * **Subsumption verdicts** (`U`, in-process only): one simulation-preorder bit per
+//!   canonical residual pair, keyed by [`crate::canon::subsumption_key`] (no axiom
+//!   fingerprint, no state bound — a semantic fact about the pair) — a hit lets the
+//!   antichain walk prune a product pair whose transition rows were never even derived
+//!   by this walk.
+//!
+//! `T` and `U` live beneath the product walk, and a warm run answers its obligations
+//! from `I`, `D` and `S` records before it reaches the walk, so neither kind is written
+//! to disk (see `RecordKind::is_persisted`).
 //!
 //! # Disk format (v6)
 //!
-//! Since v6 the persistent tier is a small LSM store (see [`crate::lsm`] for the
-//! mechanics and `docs/CACHE_FORMAT.md` for the full grammar): the cache path itself is
-//! a *manifest* (`hat-engine-cache v6` header plus one line per live segment), and the
+//! The persistent tier is a small LSM store (see [`crate::lsm`] for the mechanics and
+//! `docs/CACHE_FORMAT.md` for the full grammar): the cache path itself is a
+//! *manifest* (`hat-engine-cache v6` header plus one line per live segment), and the
 //! records live in sorted, fingerprint-partitioned, per-kind *segment files* under
 //! `<path>.d/`. Fresh records are appended to an in-memory memtable and reach disk when
 //! the memtable rotates (size threshold, end-of-run flush, or drop) — a dedicated
 //! background thread writes segments, commits the manifest atomically, and merges
 //! segment families without taking a single tier lock. Record lines inside segments are
-//! `<kind><verdict>\t<key>` for `S`/`I`/`D`/`U` and `<kind>\t<key>\t<payload>` for
-//! `M` minterm sets and `T` transitions.
+//! `<kind><verdict>\t<key>` for `S`/`I`/`D` and `M\t<key>\t<payload>` for minterm sets.
+//! `T` and `U` segments left by binaries that persisted those kinds are never read: a
+//! locked open drops them from the manifest and unlinks their files.
 //!
 //! Properties:
 //!
@@ -47,7 +52,7 @@
 //!   warning (entries are still replayed read-only for a warm start). A lock whose
 //!   holder is dead is reclaimed. [`MemoStore::inspect`] never takes the lock at all —
 //!   `marple cache stats` prints honest numbers even while a daemon owns the store.
-//! * **Compaction.** [`MemoStore::compact`] (CLI: `marple cache compact`) is now a
+//! * **Compaction.** [`MemoStore::compact`] (CLI: `marple cache compact`) is a
 //!   *nudge*: it drains the memtable and asks the background thread to merge every
 //!   multi-segment family, newest record winning, duplicates and torn lines dropped.
 //!   Opening a store whose dead-record share passes a threshold nudges automatically.
@@ -57,7 +62,7 @@
 //!   foreign file). Malformed lines and torn segments are skipped and counted as
 //!   stale, never corrupting verdicts.
 
-use crate::atomio::{parse_minterm_set, parse_sfa, ser_minterm_set, ser_sfa};
+use crate::atomio::{parse_minterm_set, ser_minterm_set};
 use crate::lsm::{self, Lsm, LsmConfig, LsmStatsSnapshot, ManifestState};
 use crate::tier::{DiskTier, SharedTier};
 use hat_sfa::{MemoKind, MintermSet, Sfa};
@@ -85,10 +90,9 @@ pub enum RecordKind {
     Shape,
     /// Minterm sets (`M`).
     Minterms,
-    /// DFA transitions (`T`, persisted since v6).
+    /// DFA transitions (`T`, in-process only).
     Transition,
-    /// Simulation-subsumption verdicts (`U`). A pre-U binary reading a store that
-    /// holds them skips the unknown segments and degrades to cold — never wrong.
+    /// Simulation-subsumption verdicts (`U`, in-process only).
     Subsumption,
 }
 
@@ -126,6 +130,14 @@ impl RecordKind {
         !matches!(self, RecordKind::Minterms | RecordKind::Transition)
     }
 
+    /// Whether records of this kind are written to the disk store: the kinds a warm run
+    /// reads. `T` and `U` sit beneath the product walk, which a warm run never reaches,
+    /// so they stay in-process; a store that still names their segments has them
+    /// dropped unread at open.
+    pub(crate) fn is_persisted(self) -> bool {
+        !matches!(self, RecordKind::Transition | RecordKind::Subsumption)
+    }
+
     /// A human-readable label (used by `marple cache stats`).
     pub fn label(self) -> &'static str {
         match self {
@@ -161,7 +173,7 @@ pub enum MemoValue {
     Verdict(bool),
     /// A canonical minterm set (`M` records).
     Minterms(Arc<MintermSet>),
-    /// A canonical successor automaton (`T` records).
+    /// A canonical successor automaton (`T` records, never written to disk).
     Transition(Arc<Sfa>),
 }
 
@@ -183,33 +195,31 @@ impl From<Sfa> for MemoValue {
     }
 }
 
-/// Serialises one record as the line it occupies in a segment.
+/// Serialises one record of a persisted kind as the line it occupies in a segment.
 fn record_line(kind: RecordKind, key: &str, value: &MemoValue) -> String {
     let tag = kind.tag();
     match value {
         MemoValue::Verdict(verdict) => format!("{tag}{}\t{key}", u8::from(*verdict)),
         MemoValue::Minterms(set) => format!("{tag}\t{key}\t{}", ser_minterm_set(set)),
-        MemoValue::Transition(succ) => format!("{tag}\t{key}\t{}", ser_sfa(succ)),
+        MemoValue::Transition(_) => unreachable!("`T` records are never written"),
     }
 }
 
 /// Parses one record line of a segment body.
-/// `None` for a line no record grammar accepts, including an `M`/`T` line whose payload
-/// does not parse exactly: a torn payload degrades to a cold entry, never a wrong one.
+/// `None` for a line no record grammar of a persisted kind accepts, including an `M`
+/// line whose payload does not parse exactly: a torn payload degrades to a cold entry,
+/// never a wrong one.
 fn parse_record(line: &str) -> Option<(RecordKind, &str, MemoValue)> {
     let (head, rest) = line.split_once('\t')?;
-    let kind = RecordKind::from_tag(head.get(..1)?)?;
-    let (key, value) = match (kind.is_verdict(), &head[1..]) {
-        (true, "0") => (rest, MemoValue::Verdict(false)),
-        (true, "1") => (rest, MemoValue::Verdict(true)),
-        (false, "") => {
+    let kind = RecordKind::from_tag(head.get(..1)?).filter(|kind| kind.is_persisted())?;
+    let (key, value) = match (kind, &head[1..]) {
+        (RecordKind::Minterms, "") => {
             let (key, payload) = rest.split_once('\t')?;
-            let value = match kind {
-                RecordKind::Minterms => parse_minterm_set(payload)?.into(),
-                _ => parse_sfa(payload)?.into(),
-            };
-            (key, value)
+            (key, parse_minterm_set(payload)?.into())
         }
+        (RecordKind::Minterms, _) => return None,
+        (_, "0") => (rest, MemoValue::Verdict(false)),
+        (_, "1") => (rest, MemoValue::Verdict(true)),
         _ => return None,
     };
     Some((kind, key, value))
@@ -222,7 +232,7 @@ hat_sfa::counters! {
         hits: usize,
         /// Queries that missed every tier and had to be solved.
         misses: usize,
-        /// Entries replayed from segments (or a legacy log) at startup.
+        /// Entries replayed from segments at startup.
         disk_loaded: usize,
         /// Disk lines, segments (by record count) or whole files ignored as unreadable or
         /// from another version.
@@ -390,9 +400,9 @@ pub struct CompactionReport {
     pub records_after: usize,
 }
 
-/// What a read-only scan of a cache (manifest + segments, or a legacy log) found
-/// (CLI: `marple cache stats`). Never takes the writer lock, so it works — and prints
-/// honest numbers — while a daemon owns the store.
+/// What a read-only scan of a cache (manifest + segments) found (CLI: `marple cache
+/// stats`). Never takes the writer lock, so it works — and prints honest numbers —
+/// while a daemon owns the store.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheFileStats {
     /// The header line, when the file is non-empty.
@@ -407,9 +417,12 @@ pub struct CacheFileStats {
     pub shape: usize,
     /// Live minterm-set records.
     pub minterms: usize,
-    /// Live transition records (v6 only).
+    /// Records in `T` segments the manifest still names. Only a store last written by
+    /// a binary that persisted transitions has any: they are never read, count as
+    /// neither live nor dead, and the next locked open drops them.
     pub transitions: usize,
-    /// Live subsumption-verdict records.
+    /// Records in `U` segments the manifest still names, on the same terms as
+    /// [`transitions`](CacheFileStats::transitions).
     pub subsumption: usize,
     /// Records whose key already occurred in a newer segment or earlier line
     /// (superseded — compaction drops them).
@@ -417,24 +430,19 @@ pub struct CacheFileStats {
     /// Lines that parse under no record grammar, plus the claimed records of torn
     /// segments (compaction drops them).
     pub malformed: usize,
-    /// Live segment files named by the manifest (v6 only).
+    /// Segment files named by the manifest.
     pub segments: usize,
     /// Segments named by the manifest but missing, header-mismatched or truncated —
-    /// every record in them degrades to cold (v6 only).
+    /// every record in them degrades to cold.
     pub torn_segments: usize,
-    /// Manifest plus readable segment bytes (v6), or file size (legacy).
+    /// Manifest plus the bytes of the segments read (a foreign file: its size).
     pub bytes: u64,
 }
 
 impl CacheFileStats {
-    /// Total live records.
+    /// Total live records: those a warm open loads.
     pub fn live(&self) -> usize {
-        self.solver
-            + self.inclusion
-            + self.shape
-            + self.minterms
-            + self.transitions
-            + self.subsumption
+        self.solver + self.inclusion + self.shape + self.minterms
     }
 
     /// Total dead records (duplicates plus malformed lines).
@@ -457,14 +465,14 @@ impl CacheFileStats {
     fn tally(&mut self, line: &str, seen: &mut [HashSet<String>; 6]) {
         match parse_record(line) {
             Some((kind, key, _)) if seen[kind as usize].insert(key.to_string()) => {
-                *self.live_mut(kind) += 1;
+                *self.count_mut(kind) += 1;
             }
             Some(_) => self.duplicates += 1,
             None => self.malformed += 1,
         }
     }
 
-    fn live_mut(&mut self, kind: RecordKind) -> &mut usize {
+    fn count_mut(&mut self, kind: RecordKind) -> &mut usize {
         match kind {
             RecordKind::Solver => &mut self.solver,
             RecordKind::Inclusion => &mut self.inclusion,
@@ -556,6 +564,8 @@ impl MemoStore {
     /// A store backed by the LSM disk store at `path` (`path` is the manifest;
     /// segments live under `<path>.d/`). Existing segments are replayed into the disk
     /// tiers (warm start) and fresh verdicts flow through the memtable to new segments.
+    /// Segments of the in-process kinds `T` and `U` are skipped unread; a locked open
+    /// drops them from the manifest and deletes their files.
     /// A store whose replay found enough dead records gets an immediate compaction
     /// nudge. A file whose header belongs to any other format version, older or newer,
     /// is left untouched: the store runs in-memory only and counts the file as stale
@@ -611,9 +621,16 @@ impl MemoStore {
         let mut duplicates = 0usize;
         let mut stale_lines = 0usize;
         let mut manifest = None;
+        let mut dropped_segments = false;
         if path.exists() {
-            if let Some((state, malformed)) = lsm::read_manifest(path)? {
+            if let Some((mut state, malformed)) = lsm::read_manifest(path)? {
                 stale_lines += malformed;
+                // `T` and `U` segments of a store written when those kinds were persisted:
+                // never read, neither loaded nor stale. A locked open commits the
+                // manifest without them below, and `gc_orphans` unlinks their files.
+                let named = state.segments.len();
+                state.segments.retain(|s| s.kind.is_persisted());
+                dropped_segments = state.segments.len() < named;
                 let dir = lsm::segment_dir_for(path);
                 // Newest segment first, so the first occurrence of a key — the one
                 // `put_quiet` keeps — is the newest record.
@@ -649,18 +666,18 @@ impl MemoStore {
             // no compaction, no orphan GC.
             return Ok(cache);
         }
-        let state = match manifest {
-            Some(state) => state,
-            None => {
-                // Missing or empty file: commit the empty manifest up front so the path
-                // always carries the v6 header — a pre-v6 binary opening it later sees
-                // a foreign version and safely runs in-memory instead of appending to a
-                // manifest.
-                let state = ManifestState::default();
-                lsm::write_manifest(path, &state)?;
-                state
-            }
+        // A missing or empty file gets the empty manifest up front, so the path always
+        // carries the v6 header — a pre-v6 binary opening it later sees a foreign
+        // version and safely runs in-memory instead of appending to a manifest. A
+        // manifest that named `T`/`U` segments is committed without them before
+        // `Lsm::start` collects their files as orphans.
+        let (state, commit) = match manifest {
+            Some(state) => (state, dropped_segments),
+            None => (ManifestState::default(), true),
         };
+        if commit {
+            lsm::write_manifest(path, &state)?;
+        }
         let lsm = Lsm::start(path, state, config)?;
         // Dead records (cross-segment duplicates from merged runs, torn segments,
         // malformed lines) past the threshold get the compaction nudge a CLI
@@ -758,6 +775,10 @@ impl MemoStore {
             segments.sort_by_key(|s| std::cmp::Reverse(s.seq));
             let mut seen: [HashSet<String>; 6] = Default::default();
             for meta in &segments {
+                if !meta.kind.is_persisted() {
+                    *stats.count_mut(meta.kind) += meta.records;
+                    continue;
+                }
                 let scan = lsm::read_segment(&dir, meta);
                 if scan.torn {
                     stats.torn_segments += 1;
@@ -853,14 +874,15 @@ impl MemoStore {
         found
     }
 
-    /// Records a value in the shared tier of `kind`; when the insert is fresh and this
-    /// store writes to disk, serialises the record and logs it to the LSM memtable.
-    /// Racing inserts of the same key are harmless: canonical keys determine their
-    /// value. (An insert whose key was never looked up can duplicate a record that sits
-    /// un-promoted in the disk tier — compaction drops such duplicates.)
+    /// Records a value in the shared tier of `kind`; when the insert is fresh, the kind
+    /// is one a warm run reads (not `T` or `U`) and this store writes to disk,
+    /// serialises the record and logs it to the LSM memtable. Racing inserts of the
+    /// same key are harmless: canonical keys determine their value. (An insert whose
+    /// key was never looked up can duplicate a record that sits un-promoted in the disk
+    /// tier — compaction drops such duplicates.)
     pub fn insert(&self, kind: RecordKind, key: String, value: MemoValue) {
         let fresh = self.shared[kind as usize].put(key.clone(), value.clone());
-        if let (true, Some(lsm)) = (fresh, &self.lsm) {
+        if let (true, Some(lsm)) = (fresh && kind.is_persisted(), &self.lsm) {
             lsm.log(kind, &key, record_line(kind, &key, &value));
         }
     }
@@ -1172,31 +1194,151 @@ mod tests {
     }
 
     #[test]
-    fn transition_memo_roundtrips_through_segments() {
-        let path = temp_path("transition-memo");
+    fn transition_and_subsumption_memos_stay_in_process() {
+        let path = temp_path("in-process-kinds");
         cleanup(&path);
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
             assert!(cache.lookup(RecordKind::Transition, "tr|x").is_none());
             cache.insert(RecordKind::Transition, "tr|x".into(), Sfa::Zero.into());
+            cache.insert(RecordKind::Subsumption, "sub|x".into(), true.into());
+            assert_eq!(cache.memtable_records(), 0, "neither kind is logged");
             assert_eq!(
                 cache.lookup(RecordKind::Transition, "tr|x"),
                 Some(Sfa::Zero.into())
             );
+            assert_eq!(
+                cache.lookup(RecordKind::Subsumption, "sub|x"),
+                Some(true.into())
+            );
             let stats = cache.stats();
             assert_eq!((stats.transition_hits, stats.transition_misses), (1, 1));
+            assert_eq!((stats.subsumption_hits, stats.subsumption_misses), (1, 0));
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(
-            warm.lookup(RecordKind::Transition, "tr|x"),
-            Some(Sfa::Zero.into()),
-            "transitions are persisted as T segments since v6"
-        );
-        assert_eq!(warm.stats().disk_loaded, 1);
-        assert_eq!(warm.stats().stale, 0);
+        assert_eq!(warm.lookup(RecordKind::Transition, "tr|x"), None);
+        assert_eq!(warm.lookup(RecordKind::Subsumption, "sub|x"), None);
+        assert_eq!((warm.stats().disk_loaded, warm.stats().stale), (0, 0));
+        assert!(warm.manifest().unwrap().segments.is_empty());
         drop(warm);
         let stats = MemoStore::inspect(&path).unwrap();
-        assert_eq!(stats.transitions, 1);
+        assert_eq!(
+            (stats.transitions, stats.subsumption, stats.live()),
+            (0, 0, 0)
+        );
+        cleanup(&path);
+    }
+
+    /// Writes a store the way binaries that persisted `T` and `U` left it: one
+    /// segment for each of the six kinds, under the three-field segment header
+    /// (no checksum) those binaries wrote.
+    fn write_store_with_retired_kinds(path: &Path) {
+        write_store(
+            path,
+            &[
+                (RecordKind::Solver, &["S1\tsat|k"]),
+                (RecordKind::Inclusion, &["I0\tincl|k"]),
+                (RecordKind::Shape, &["D1\tshape|k"]),
+                (RecordKind::Minterms, &["M\tmt|k\tU0;M0;P0;Q0;"]),
+                (RecordKind::Transition, &["T\ttr|k\tZ", "T\ttr|j\tE"]),
+                (RecordKind::Subsumption, &["U1\tsub|k"]),
+            ],
+        );
+        for entry in std::fs::read_dir(lsm::segment_dir_for(path)).unwrap() {
+            let file = entry.unwrap().path();
+            let text = std::fs::read_to_string(&file).unwrap();
+            let (header, body) = text.split_once('\n').unwrap();
+            let (legacy, _checksum) = header.rsplit_once('\t').unwrap();
+            std::fs::write(&file, format!("{legacy}\n{body}")).unwrap();
+        }
+    }
+
+    /// Every file of a store — manifest and segment directory — by name, with its bytes.
+    fn store_files(path: &Path) -> Vec<(String, Vec<u8>)> {
+        let dir = lsm::segment_dir_for(path);
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files.push(("<manifest>".into(), std::fs::read(path).unwrap()));
+        files
+    }
+
+    /// Asserts what every open of [`write_store_with_retired_kinds`]'s store serves: the
+    /// four persisted records, nothing stale, and no `T` or `U` record.
+    fn assert_serves_only_persisted_kinds(cache: &MemoStore) {
+        let stats = cache.stats();
+        assert_eq!((stats.disk_loaded, stats.stale), (4, 0));
+        assert_eq!(cache.lookup(RecordKind::Solver, "sat|k"), Some(true.into()));
+        assert_eq!(
+            cache.lookup(RecordKind::Inclusion, "incl|k"),
+            Some(false.into())
+        );
+        assert_eq!(
+            cache.lookup(RecordKind::Shape, "shape|k"),
+            Some(true.into())
+        );
+        assert!(cache.lookup(RecordKind::Minterms, "mt|k").is_some());
+        assert_eq!(cache.lookup(RecordKind::Transition, "tr|k"), None);
+        assert_eq!(cache.lookup(RecordKind::Subsumption, "sub|k"), None);
+    }
+
+    #[test]
+    fn a_locked_open_drops_retired_transition_and_subsumption_segments() {
+        let path = temp_path("retired-kinds");
+        cleanup(&path);
+        write_store_with_retired_kinds(&path);
+        let before = MemoStore::inspect(&path).unwrap();
+        assert_eq!((before.transitions, before.subsumption), (2, 1));
+        assert_eq!(before.live(), 4);
+        {
+            let cache = MemoStore::with_disk_log(&path).unwrap();
+            assert!(!cache.degraded());
+            assert_serves_only_persisted_kinds(&cache);
+            let manifest = cache.manifest().unwrap();
+            assert_eq!(manifest.segments.len(), 4);
+            assert!(manifest.segments.iter().all(|s| s.kind.is_persisted()));
+        }
+        let (on_disk, _) = lsm::read_manifest(&path).unwrap().expect("v6 manifest");
+        assert!(
+            on_disk.segments.iter().all(|s| s.kind.is_persisted()),
+            "the committed manifest names no `T` or `U` segment: {on_disk:?}"
+        );
+        let names: Vec<String> = store_files(&path).into_iter().map(|f| f.0).collect();
+        assert!(
+            !names
+                .iter()
+                .any(|n| n.starts_with("T-") || n.starts_with("U-")),
+            "the retired segment files are unlinked: {names:?}"
+        );
+        let after = MemoStore::inspect(&path).unwrap();
+        assert_eq!((after.transitions, after.subsumption), (0, 0));
+        assert_eq!((after.live(), after.dead()), (4, 0));
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_degraded_open_skips_retired_segments_and_leaves_every_file_alone() {
+        let path = temp_path("retired-kinds-degraded");
+        cleanup(&path);
+        write_store_with_retired_kinds(&path);
+        // This process is alive, so its PID in the lock file makes the open degrade.
+        std::fs::write(lock_path_for(&path), std::process::id().to_string()).unwrap();
+        let before = store_files(&path);
+        let cache = MemoStore::with_disk_log(&path).unwrap();
+        assert!(cache.degraded());
+        assert_serves_only_persisted_kinds(&cache);
+        drop(cache);
+        assert_eq!(
+            store_files(&path),
+            before,
+            "a degraded open must leave the manifest and the segment files byte-identical"
+        );
         cleanup(&path);
     }
 
@@ -1357,7 +1499,11 @@ mod tests {
             for i in 0..3 {
                 cache.insert(RecordKind::Solver, format!("sat|p{i}"), true.into());
             }
-            cache.insert(RecordKind::Transition, "tr|p".into(), Sfa::Epsilon.into());
+            cache.insert(
+                RecordKind::Minterms,
+                "mt|p".into(),
+                MintermSet::default().into(),
+            );
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(warm.len(), 3);
@@ -1380,10 +1526,10 @@ mod tests {
         // The promoted key is now served by the shared tier: disk locks stay flat.
         assert_eq!(warm.lookup(RecordKind::Solver, "sat|p0"), Some(true.into()));
         assert_eq!(warm.stats().disk_lock_acquisitions, 2);
-        // A transition takes the same path as a verdict.
+        // A minterm set takes the same path as a verdict.
         assert_eq!(
-            warm.lookup(RecordKind::Transition, "tr|p"),
-            Some(Sfa::Epsilon.into())
+            warm.lookup(RecordKind::Minterms, "mt|p"),
+            Some(MintermSet::default().into())
         );
         assert_eq!(
             warm.stats().disk_lock_acquisitions,
@@ -1391,12 +1537,12 @@ mod tests {
             "one read-through get plus one promotion evict"
         );
         assert_eq!(
-            warm.lookup(RecordKind::Transition, "tr|p"),
-            Some(Sfa::Epsilon.into())
+            warm.lookup(RecordKind::Minterms, "mt|p"),
+            Some(MintermSet::default().into())
         );
         assert_eq!(warm.stats().disk_lock_acquisitions, 4);
         assert_eq!(
-            (warm.stats().transition_hits, warm.stats().transition_misses),
+            (warm.stats().minterm_hits, warm.stats().minterm_misses),
             (2, 0)
         );
         cleanup(&path);
@@ -1408,14 +1554,18 @@ mod tests {
         cleanup(&path);
         let cache = MemoStore::with_disk_log(&path).unwrap();
         cache.insert(RecordKind::Solver, "sat|a".into(), true.into());
-        cache.insert(RecordKind::Transition, "tr|b".into(), Sfa::Zero.into());
+        cache.insert(
+            RecordKind::Minterms,
+            "mt|b".into(),
+            MintermSet::default().into(),
+        );
         cache.flush();
         // The store is alive and holds the writer lock; inspection must neither
         // block, nor degrade anything, nor touch the lock.
         assert!(lock_path_for(&path).exists());
         let stats = MemoStore::inspect(&path).unwrap();
         assert_eq!(stats.version, Some(6));
-        assert_eq!((stats.solver, stats.transitions), (1, 1));
+        assert_eq!((stats.solver, stats.minterms), (1, 1));
         assert!(stats.segments >= 1);
         assert_eq!(stats.torn_segments, 0);
         assert!(stats.bytes > 0);

@@ -35,23 +35,25 @@
 //! minterm sets (whole alphabet transformations), DFA transitions
 //! (`state × answers → successor`), per-group *DFA shapes* (one product walk over an
 //! (automaton pair, pruned alphabet) — shared across benchmarks, no axiom fingerprint)
-//! and whole inclusion checks. A hit at an outer level skips every inner level.
+//! and whole inclusion checks. A hit at an outer level skips every inner level, which
+//! is why the disk store keeps only the levels a warm run reads: transitions and
+//! subsumption verdicts live and die with the process.
 //!
 //! ## Disk store (LSM)
 //!
-//! With [`EngineConfig::cache_path`] set, verdicts flow through an LSM-structured
-//! store (`hat-engine-cache v6`): writes land in an in-memory memtable that rotates
-//! at a size threshold into frozen tables, which a dedicated background thread
-//! flushes as sorted, fingerprint-partitioned, per-kind segment files under
-//! `<path>.d/` — the cache path itself holds only the manifest naming the live
-//! segments. The same thread merges segment families levelled-up and drops dead
-//! records, so compaction never blocks a reader or a scheduler worker. The record
-//! grammar, single-writer locking, crash-consistency and migration rules are
-//! specified in `docs/CACHE_FORMAT.md` and summarised in [`cache`] and [`lsm`]. The
-//! next run replays manifest + segments into memory and starts warm; a `v5` log is
-//! migrated atomically on first open, files from any other format version (older or
-//! newer) are ignored wholesale and counted as stale, and a store crowded with dead
-//! records is compacted — automatically past a threshold at open, or explicitly via
+//! With [`EngineConfig::cache_path`] set, solver, inclusion, shape and minterm-set
+//! records flow through an LSM-structured store (`hat-engine-cache v6`): writes land
+//! in an in-memory memtable that rotates at a size threshold into frozen tables,
+//! which a dedicated background thread flushes as sorted, fingerprint-partitioned,
+//! per-kind segment files under `<path>.d/` — the cache path itself holds only the
+//! manifest naming the live segments. The same thread merges segment families
+//! levelled-up and drops dead records, so compaction never blocks a reader or a
+//! scheduler worker. The record grammar, single-writer locking, crash-consistency
+//! and foreign-file rules are specified in `docs/CACHE_FORMAT.md` and summarised in
+//! [`cache`] and [`lsm`]. The next run replays manifest + segments into memory and
+//! starts warm; files of any other format version (the flat v1–v5 logs included) are
+//! ignored wholesale and counted as stale, and a store crowded with dead records is
+//! compacted — automatically past a threshold at open, or explicitly via
 //! [`MemoStore::compact`] / `marple cache compact`.
 //!
 //! ## Scheduler

@@ -1,23 +1,21 @@
-//! The LSM-structured disk backend of the memo store (`hat-engine-cache v6`).
-//!
-//! The v5 backend was a single append-only log: every record kind shared one file,
-//! compaction was a stop-the-world rewrite in the serving process, and the hot
-//! transition memo was never persisted because appending large payloads from workers
-//! was too expensive. v6 restructures the persistent tier as a small log-structured
-//! merge store:
+//! The LSM-structured disk backend of the memo store (`hat-engine-cache v6`): a small
+//! log-structured merge store holding the records a warm run reads (`S`, `I`, `D` and
+//! `M`; see `RecordKind::is_persisted`).
 //!
 //! * **Memtable.** Fresh records are appended to an in-memory memtable (a mutex-guarded
-//!   vector of pre-serialised record lines — the same worker-side cost as the v5
-//!   buffered appender). When the memtable passes [`LsmConfig::memtable_bytes`] it is
-//!   *rotated*: the frozen contents are handed to the background thread and workers
-//!   continue into a fresh memtable without waiting on any I/O.
+//!   vector of pre-serialised record lines). When the memtable passes
+//!   [`LsmConfig::memtable_bytes`] it is *rotated*: the frozen contents are handed to
+//!   the background thread and workers continue into a fresh memtable without waiting
+//!   on any I/O.
 //! * **Segments.** The background thread flushes a frozen memtable as sorted,
 //!   fingerprint-partitioned, per-kind *segment files* under `<path>.d/`: records are
 //!   grouped by `(kind, partition)` where `partition = fnv1a(key) % 4`, deduplicated,
 //!   sorted by key and written to `<tag>-p<partition>-L<level>-<seq>.seg` via a
 //!   temporary file, `sync_all` and an atomic rename. Because the fingerprint is a pure
 //!   function of the canonical key, a key lives in exactly one partition family and
-//!   compaction never needs to look outside a family.
+//!   compaction never needs to look outside a family. A segment's header carries the
+//!   fingerprint of its body, so a flipped byte tears the segment instead of changing a
+//!   record.
 //! * **Manifest.** `<path>` itself becomes the *manifest*: the `hat-engine-cache v6`
 //!   header, a sequence cursor and one `seg` line per live segment. Every flush or
 //!   compaction commits by atomically rewriting the manifest; a segment file not named
@@ -49,18 +47,19 @@ use std::thread;
 
 /// The v6 manifest header (the first line of the cache path itself).
 pub const MANIFEST_HEADER_V6: &str = "hat-engine-cache v6";
-/// The header prefix of every segment file: `hat-engine-segment v6\t<tag>\t<records>`.
+/// The header prefix of every segment file:
+/// `hat-engine-segment v6\t<tag>\t<records>\t<checksum>`.
 pub const SEGMENT_HEADER_V6: &str = "hat-engine-segment v6";
-/// Fingerprint partitions per record kind. Coarse on purpose: the store holds tens of
-/// thousands of records, and each partition family compacts independently.
+/// Fingerprint partitions per record kind. Each partition family compacts
+/// independently, so damage to one segment cools a quarter of one kind's keys at most.
 pub const PARTITIONS: u8 = 4;
 
 const DEFAULT_MEMTABLE_BYTES: usize = 256 * 1024;
 const DEFAULT_COMPACT_FANIN: usize = 4;
 
-/// Tuning of the LSM backend. [`LsmConfig::from_env`] honours `HAT_MEMTABLE_BYTES` and
-/// `HAT_COMPACT_FANIN`, which CI uses to force rotations and compactions on small
-/// workloads.
+/// Tuning of the LSM backend. [`LsmConfig::from_env`] honours `HAT_MEMTABLE_BYTES`,
+/// which CI uses to force rotations and compactions on small workloads; tests pass a
+/// config directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LsmConfig {
     /// Rotate the memtable into a frozen flush once it holds this many bytes.
@@ -79,7 +78,7 @@ impl Default for LsmConfig {
 }
 
 impl LsmConfig {
-    /// The default configuration with environment overrides applied.
+    /// The default configuration with the `HAT_MEMTABLE_BYTES` override applied.
     pub fn from_env() -> Self {
         let defaults = LsmConfig::default();
         LsmConfig {
@@ -88,11 +87,7 @@ impl LsmConfig {
                 .and_then(|v| v.parse().ok())
                 .filter(|&n| n > 0)
                 .unwrap_or(defaults.memtable_bytes),
-            compact_fanin: std::env::var("HAT_COMPACT_FANIN")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 2)
-                .unwrap_or(defaults.compact_fanin),
+            ..defaults
         }
     }
 }
@@ -271,50 +266,41 @@ pub fn segment_dir_for(log_path: &Path) -> PathBuf {
 pub struct SegmentScan {
     /// The record lines, in file order. Empty when the segment is torn.
     pub lines: Vec<String>,
-    /// Set when the file is missing, its header is wrong, or its line count does not
-    /// match the header — the whole segment degrades to cold rather than being half
-    /// trusted.
+    /// Set when the file is missing or not UTF-8, its header is wrong, its body fails
+    /// the header's checksum, or its line count does not match the header — the whole
+    /// segment degrades to cold rather than being half trusted.
     pub torn: bool,
 }
 
-/// Reads a segment file. Never errors: any malformation marks the scan torn.
+/// Reads a segment file. Never errors: any malformation marks the scan torn. The
+/// checksum is the [`fingerprint`] of the body (every byte after the header line),
+/// in hex; a segment written before segments carried one has a three-field header and
+/// is read unchecked.
 pub fn read_segment(dir: &Path, meta: &SegmentMeta) -> SegmentScan {
-    let mut scan = SegmentScan::default();
-    let Ok(file) = File::open(dir.join(meta.file_name())) else {
-        scan.torn = true;
-        return scan;
+    let torn = SegmentScan {
+        lines: Vec::new(),
+        torn: true,
     };
-    let mut lines = BufReader::new(file).lines();
-    let header_ok = match lines.next() {
-        Some(Ok(header)) => {
-            let mut fields = header.split('\t');
-            fields.next() == Some(SEGMENT_HEADER_V6)
-                && fields.next().and_then(RecordKind::from_tag) == Some(meta.kind)
-                && fields.next().and_then(|n| n.parse::<usize>().ok()) == Some(meta.records)
-                && fields.next().is_none()
-        }
-        _ => false,
+    let Ok(text) = fs::read_to_string(dir.join(meta.file_name())) else {
+        return torn;
     };
-    if !header_ok {
-        scan.torn = true;
-        return scan;
-    }
-    for line in lines {
-        match line {
-            Ok(line) => scan.lines.push(line),
-            Err(_) => {
-                scan.torn = true;
-                break;
+    let (header, body) = text.split_once('\n').unwrap_or((&text, ""));
+    let mut fields = header.split('\t');
+    let header_ok = fields.next() == Some(SEGMENT_HEADER_V6)
+        && fields.next().and_then(RecordKind::from_tag) == Some(meta.kind)
+        && fields.next().and_then(|n| n.parse::<usize>().ok()) == Some(meta.records)
+        && match fields.next() {
+            None => true,
+            Some(sum) => {
+                fields.next().is_none()
+                    && u64::from_str_radix(sum, 16).ok() == Some(fingerprint(body))
             }
-        }
+        };
+    let lines: Vec<String> = body.lines().map(str::to_string).collect();
+    if !header_ok || lines.len() != meta.records {
+        return torn;
     }
-    if scan.lines.len() != meta.records {
-        scan.torn = true;
-    }
-    if scan.torn {
-        scan.lines.clear();
-    }
-    scan
+    SegmentScan { lines, torn: false }
 }
 
 /// Writes one segment file (already grouped, deduplicated and sorted) via a temporary
@@ -338,12 +324,21 @@ pub(crate) fn write_segment(
     };
     let final_path = dir.join(meta.file_name());
     let tmp_path = dir.join(format!("{}.tmp", meta.file_name()));
+    let mut body = String::new();
+    for (_, line) in lines {
+        body.push_str(line);
+        body.push('\n');
+    }
     {
         let mut out = BufWriter::new(File::create(&tmp_path)?);
-        writeln!(out, "{SEGMENT_HEADER_V6}\t{}\t{}", kind.tag(), lines.len())?;
-        for (_, line) in lines {
-            writeln!(out, "{line}")?;
-        }
+        writeln!(
+            out,
+            "{SEGMENT_HEADER_V6}\t{}\t{}\t{:016x}",
+            kind.tag(),
+            lines.len(),
+            fingerprint(&body)
+        )?;
+        out.write_all(body.as_bytes())?;
         out.flush()?;
         out.get_ref().sync_all()?;
     }
@@ -944,6 +939,25 @@ mod tests {
         // Missing file: torn too.
         fs::remove_file(&file).expect("removable");
         assert!(read_segment(&dir, &meta).torn);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_body_that_fails_its_checksum_is_torn() {
+        let path = temp_manifest("checksum");
+        cleanup(&path);
+        let dir = segment_dir_for(&path);
+        fs::create_dir_all(&dir).expect("mkdir");
+        let lines = vec![("k0".to_string(), "S1\tk0".to_string())];
+        let meta = write_segment(&dir, RecordKind::Solver, 0, 0, 1, &lines).expect("writes");
+        let file = dir.join(meta.file_name());
+        let contents = fs::read_to_string(&file).expect("readable");
+        // Same length, same line count, well-formed record: only the checksum can tell.
+        fs::write(&file, contents.replace("S1\tk0", "S0\tk0")).expect("writable");
+        assert!(read_segment(&dir, &meta).torn);
+        // A segment written before segments carried a checksum is read unchecked.
+        fs::write(&file, "hat-engine-segment v6\tS\t1\nS0\tk0\n").expect("writable");
+        assert_eq!(read_segment(&dir, &meta).lines, vec!["S0\tk0".to_string()]);
         cleanup(&path);
     }
 

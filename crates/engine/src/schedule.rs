@@ -83,11 +83,6 @@ pub struct EngineConfig {
     /// baseline — verdicts are identical because every memo value is a pure function of
     /// its key).
     pub local_tiers: bool,
-    /// Memtable rotation threshold in bytes for the persistent LSM store; `None` takes
-    /// the built-in default (or the `HAT_MEMTABLE_BYTES` override from the
-    /// environment). Benchmarks set this low to force rotations at small record
-    /// volumes.
-    pub memtable_bytes: Option<usize>,
 }
 
 impl Default for EngineConfig {
@@ -100,7 +95,6 @@ impl Default for EngineConfig {
             inclusion: InclusionMode::default(),
             subsume: SubsumptionMode::default(),
             local_tiers: true,
-            memtable_bytes: None,
         }
     }
 }
@@ -759,22 +753,23 @@ impl Engine {
     /// spawning the worker pool.
     pub fn new(config: EngineConfig) -> std::io::Result<Self> {
         let cache = match &config.cache_path {
-            Some(path) => {
-                let mut lsm = crate::lsm::LsmConfig::from_env();
-                if let Some(bytes) = config.memtable_bytes {
-                    lsm.memtable_bytes = bytes.max(1);
-                }
-                Arc::new(MemoStore::with_disk_log_config(path, lsm)?)
-            }
-            None => Arc::new(MemoStore::in_memory()),
+            Some(path) => MemoStore::with_disk_log(path)?,
+            None => MemoStore::in_memory(),
         };
+        Ok(Self::with_store(config, Arc::new(cache)))
+    }
+
+    /// Creates an engine over an already opened store — one opened with a
+    /// non-default [`crate::LsmConfig`], say — and spawns the worker pool.
+    /// `config.cache_path` is not consulted.
+    pub fn with_store(config: EngineConfig, cache: Arc<MemoStore>) -> Self {
         let pool = JobPool::spawn(&config, Arc::clone(&cache));
-        Ok(Engine {
+        Engine {
             config,
             pool,
             cache,
             next_submission: AtomicU64::new(0),
-        })
+        }
     }
 
     /// The shared memo store (e.g. for reporting lifetime statistics).

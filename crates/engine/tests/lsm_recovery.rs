@@ -15,7 +15,8 @@
 
 use hat_engine::lsm;
 use hat_engine::{MemoStore, RecordKind};
-use hat_sfa::Sfa;
+use hat_logic::{Atom, Term};
+use hat_sfa::{Minterm, MintermSet};
 use hat_testkit::XorShift;
 use std::path::{Path, PathBuf};
 
@@ -46,11 +47,18 @@ fn truth_sat(i: usize) -> bool {
 fn truth_incl(i: usize) -> bool {
     i.is_multiple_of(3)
 }
-fn truth_tr(i: usize) -> Sfa {
-    if i.is_multiple_of(8) {
-        Sfa::Zero
-    } else {
-        Sfa::Epsilon
+/// A payload record, so torn and bit-flipped payloads are exercised too.
+fn truth_mt(i: usize) -> MintermSet {
+    MintermSet {
+        minterms: vec![Minterm {
+            op: format!("op{i}"),
+            assignment: vec![(
+                Atom::Eq(Term::var("#arg0"), Term::int(i as i64)),
+                i.is_multiple_of(8),
+            )],
+        }],
+        pruned: i,
+        ..MintermSet::default()
     }
 }
 
@@ -64,11 +72,7 @@ fn populate(path: &Path) {
             truth_incl(i).into(),
         );
         if i.is_multiple_of(4) {
-            store.insert(
-                RecordKind::Transition,
-                format!("tr|k{i}"),
-                truth_tr(i).into(),
-            );
+            store.insert(RecordKind::Minterms, format!("mt|k{i}"), truth_mt(i).into());
         }
     }
 }
@@ -100,11 +104,11 @@ fn verify_no_wrong_answers(path: &Path) -> usize {
         if !i.is_multiple_of(4) {
             continue;
         }
-        if let Some(v) = store.lookup(RecordKind::Transition, &format!("tr|k{i}")) {
+        if let Some(v) = store.lookup(RecordKind::Minterms, &format!("mt|k{i}")) {
             assert_eq!(
                 v,
-                truth_tr(i).into(),
-                "tr|k{i}: torn data produced a wrong successor"
+                truth_mt(i).into(),
+                "mt|k{i}: torn data produced a wrong minterm set"
             );
             present += 1;
         }

@@ -6,8 +6,10 @@
 //! relative to a shared-only run or a sequential (`jobs=1`) run, while shared-tier
 //! shard-lock traffic drops.
 
-use hat_engine::{verdict_mismatches, Engine, EngineConfig, MemoStore, RunSummary};
+use hat_engine::{verdict_mismatches, Engine, EngineConfig, LsmConfig, MemoStore, RunSummary};
 use hat_suite::Benchmark;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A handful of real configurations, small enough for debug-mode CI but covering
 /// several libraries (distinct axiom sets, so the axiom-fingerprint discipline is
@@ -115,32 +117,44 @@ fn sequential_runs_also_benefit_from_the_local_tier() {
 /// and compacts constantly — must count *identical* disk-tier lock traffic.
 #[test]
 fn background_flush_and_compaction_take_no_tier_locks() {
-    let cleanup = |p: &std::path::Path| {
+    let cleanup = |p: &Path| {
         let _ = std::fs::remove_file(p);
         let _ = std::fs::remove_file(p.with_extension("compacting"));
         let mut lock = p.to_path_buf().into_os_string();
         lock.push(".lock");
-        let _ = std::fs::remove_file(std::path::PathBuf::from(lock));
+        let _ = std::fs::remove_file(PathBuf::from(lock));
         let _ = std::fs::remove_dir_all(hat_engine::lsm::segment_dir_for(p));
     };
-    let config_for = |name: &str, memtable: usize| {
+    let fresh_path = |name: &str| {
         let mut path = std::env::temp_dir();
         path.push(format!(
             "hat-engine-tiers-lsm-{name}-{}",
             std::process::id()
         ));
         cleanup(&path);
-        EngineConfig {
-            jobs: 1, // sequential, so the two cold probe sequences are identical
-            cache_path: Some(path.clone()),
-            memtable_bytes: Some(memtable),
-            ..EngineConfig::default()
-        }
+        path
+    };
+    // The memtable size comes from the config each store is opened with: the tests of
+    // this binary run in parallel, so none of them may set an environment variable.
+    let engine = |path: &Path, jobs: usize, memtable_bytes: usize| {
+        let lsm = LsmConfig {
+            memtable_bytes,
+            ..LsmConfig::default()
+        };
+        let store = MemoStore::with_disk_log_config(path, lsm).expect("disk-backed store");
+        Engine::with_store(
+            EngineConfig {
+                jobs,
+                ..EngineConfig::default()
+            },
+            Arc::new(store),
+        )
     };
 
     // Baseline: a memtable the run can never fill — zero rotations, one drain flush.
-    let quiet_config = config_for("quiet", 1 << 30);
-    let quiet_engine = Engine::new(quiet_config.clone()).expect("disk-backed engine");
+    // Both cold runs are sequential, so their probe sequences are identical.
+    let quiet_path = fresh_path("quiet");
+    let quiet_engine = engine(&quiet_path, 1, 1 << 30);
     let quiet = quiet_engine.check_benchmarks(&benches());
     assert!(
         quiet_engine
@@ -156,8 +170,8 @@ fn background_flush_and_compaction_take_no_tier_locks() {
 
     // Same workload over a toy memtable: constant rotation, flushing and merging on
     // the background thread while the worker runs.
-    let busy_config = config_for("busy", 512);
-    let busy_engine = Engine::new(busy_config.clone()).expect("disk-backed engine");
+    let busy_path = fresh_path("busy");
+    let busy_engine = engine(&busy_path, 1, 512);
     let busy = busy_engine.check_benchmarks(&benches());
     let lsm = busy_engine.cache().lsm_stats().expect("persistent store");
     assert!(lsm.rotations > 0, "the toy memtable must rotate mid-run");
@@ -182,11 +196,7 @@ fn background_flush_and_compaction_take_no_tier_locks() {
     // Warm restart over the rotated-and-compacted segments: identical verdicts,
     // nothing re-solved, and the only disk-tier traffic is the workers' own
     // read-through promotions.
-    let warm_engine = Engine::new(EngineConfig {
-        jobs: 4,
-        ..busy_config.clone()
-    })
-    .expect("warm disk-backed engine");
+    let warm_engine = engine(&busy_path, 4, LsmConfig::default().memtable_bytes);
     let warm = warm_engine.check_benchmarks(&benches());
     assert_eq!(
         verdicts(&busy),
@@ -201,21 +211,19 @@ fn background_flush_and_compaction_take_no_tier_locks() {
         warm.cache.transition_misses, 0,
         "no transition successor is re-derived on a warm run"
     );
-    // The outer memo levels (inclusion, shape) hit first on a warm run and skip the
-    // product walk, so transitions are rarely *consulted* — assert instead that the
-    // compacted store really holds transition segments for a warm run to replay.
-    assert!(
-        MemoStore::inspect(busy_config.cache_path.as_ref().unwrap())
-            .expect("inspect")
-            .transitions
-            > 0,
-        "transition successors must be served from their own segment kind on disk"
+    // The outer memo levels (inclusion, shape) answer a warm run before the product
+    // walk, which is why transitions and subsumption verdicts are never written.
+    let stored = MemoStore::inspect(&busy_path).expect("inspect");
+    assert_eq!(
+        (stored.transitions, stored.subsumption),
+        (0, 0),
+        "the store holds no `T` or `U` record"
     );
     assert!(
         warm_engine.cache().stats().disk_lock_acquisitions > 0,
         "warm lookups pay their own promotion locks — that is the only disk-tier traffic"
     );
     drop(warm_engine);
-    cleanup(quiet_config.cache_path.as_ref().unwrap());
-    cleanup(busy_config.cache_path.as_ref().unwrap());
+    cleanup(&quiet_path);
+    cleanup(&busy_path);
 }

@@ -156,7 +156,6 @@ pub fn full_matrix(cache_path: Option<&PathBuf>) -> Vec<(String, EngineConfig)> 
                                     inclusion,
                                     subsume,
                                     local_tiers,
-                                    memtable_bytes: None,
                                 },
                             ));
                         }

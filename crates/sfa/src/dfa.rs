@@ -46,9 +46,9 @@ pub trait TransitionOracle {
         let _ = (state, m, succ);
     }
 
-    /// Looks up a persisted simulation verdict `L(a) ⊆ L(b)` over `alphabet` (see
+    /// Looks up a memoised simulation verdict `L(a) ⊆ L(b)` over `alphabet` (see
     /// [`crate::subsume`]). The verdict is a semantic fact about the α-renamed
-    /// (residual pair, alphabet), so implementations can key a cross-run memo on exactly
+    /// (residual pair, alphabet), so implementations can key a run-wide memo on exactly
     /// that data. `None` (the default) makes the walk compute the fixpoint locally.
     fn subsumption_lookup(&mut self, a: &Sfa, b: &Sfa, alphabet: &[Minterm]) -> Option<bool> {
         let _ = (a, b, alphabet);

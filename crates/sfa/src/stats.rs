@@ -224,7 +224,7 @@ counters! {
         /// Number of product pairs dropped by antichain subsumption before
         /// exploration.
         subsumed_pairs: usize,
-        /// Number of simulation-preorder probes answered from the persistent
+        /// Number of simulation-preorder probes answered from the run-wide
         /// subsumption memo.
         simulation_memo_hits: usize,
         /// Number of shared-tier shard-lock acquisitions the oracle performed (0

@@ -33,9 +33,10 @@
 //!   strengthened by a greatest-fixpoint simulation preorder over the residual states
 //!   whose transition rows the product frontier has *already derived* — it never derives
 //!   a row of its own, so it cannot reach a state (or a state-bound error) the unpruned
-//!   walk would not. Definite verdicts are persisted through the engine's memo store as
-//!   an axiom-independent record kind (`U`), following the `shape_key` discipline:
-//!   oracles refuse to store when a context-dependent SMT fallback fired.
+//!   walk would not. Definite verdicts are memoised in the engine's store, for the
+//!   process's lifetime, as an axiom-independent record kind (`U`), following the
+//!   `shape_key` discipline: oracles refuse to store when a context-dependent SMT
+//!   fallback fired.
 
 use crate::ast::{Sfa, SymbolicEvent};
 use crate::dfa::{nullable, TransitionOracle};
@@ -208,7 +209,7 @@ struct Entry {
     /// The syntactic tier already answered `false`. A fixed formula pair's syntactic
     /// verdict never changes within a walk, so retries skip the structural recursion.
     syn_false: bool,
-    /// The persistent memo was already consulted and missed. Any verdict the store
+    /// The run-wide memo was already consulted and missed. Any verdict the store
     /// could gain for this pair mid-walk would also be in this cache as definite, so
     /// one key construction per pair per walk suffices.
     memo_missed: bool,
@@ -300,7 +301,7 @@ impl SideOrder {
         }
         if rows[i].is_none() || rows[j].is_none() {
             // Nothing to simulate on yet; retry once this side derives more rows. The
-            // persistent memo is deliberately not consulted here: a probe costs a key
+            // run-wide memo is deliberately not consulted here: a probe costs a key
             // serialisation plus a shared-tier lookup, which is only worth paying when
             // the alternative is running the local fixpoint.
             self.cache.insert(
@@ -315,7 +316,7 @@ impl SideOrder {
             );
             return false;
         }
-        // Simulation tier: persisted verdicts first — a hit replaces the fixpoint
+        // Simulation tier: memoised verdicts first — a hit replaces the fixpoint
         // below, and the stored verdicts are semantic facts about the (residual pair,
         // alphabet), so a hit is valid regardless of which rows are derived locally.
         if !memo_missed {
@@ -351,8 +352,8 @@ impl SideOrder {
     }
 
     /// Greatest-fixpoint simulation over the pair closure of `(root_i, root_j)` on
-    /// already-derived transition rows. Caches every closure verdict and persists the
-    /// root when it is definite.
+    /// already-derived transition rows. Caches every closure verdict and stores the
+    /// root in the run-wide memo when it is definite.
     #[allow(clippy::too_many_arguments)]
     fn simulate(
         &mut self,
@@ -477,9 +478,9 @@ impl SideOrder {
         }
         let root_mark = mark_of(&root);
         let verdict = root_mark == Mark::Good;
-        // Persist only definite verdicts: a pessimistic `false` depends on which rows
+        // Store only definite verdicts: a pessimistic `false` depends on which rows
         // happen to be derived, which is not part of the memo key. (An over-budget
-        // closure can under-mark interior nodes, so nothing is persisted then either.)
+        // closure can under-mark interior nodes, so nothing is stored then either.)
         if root_mark != Mark::BadPessimistic && !over_budget {
             oracle.subsumption_store(&states[root_i], &states[root_j], alphabet, verdict);
         }
