@@ -260,12 +260,11 @@ fn print_cache_line(summary: &RunSummary, lifetime: hat_engine::CacheStatsSnapsh
     let c = &summary.cache;
     let totals = summary.stats();
     println!(
-        "cache: {} hits / {} misses ({:.1}% hit rate), {} minterm-set hits, {} transition-memo hits, {} shape-memo hits, {} simulation-memo hits, {} shared-tier locks, {} loaded from disk, {} stale; dfa: {} states, {} product states, {} pairs subsumed ({} probes), {} alphabet symbols pruned; wall {:.2}s",
+        "cache: {} hits / {} misses ({:.1}% hit rate), {} minterm-set hits, {} shape-memo hits, {} simulation-memo hits, {} shared-tier locks, {} loaded from disk, {} stale; dfa: {} states, {} product states, {} pairs subsumed ({} probes), {} alphabet symbols pruned; wall {:.2}s",
         c.hits,
         c.misses,
         100.0 * c.hit_rate(),
         c.minterm_hits,
-        c.transition_hits,
         totals.shape_memo_hits,
         totals.simulation_memo_hits,
         c.lock_acquisitions,

@@ -4,7 +4,7 @@
 //! ## Handshake
 //!
 //! On connect the server speaks first, announcing one [`Hello`] frame:
-//! `{"server":"marpled v2","protocol":4,"cache_version":6,"pid":…}`. The client checks
+//! `{"server":"marpled v2","protocol":5,"cache_version":6,"pid":…}`. The client checks
 //! all three identity fields before sending anything; a mismatch (an old daemon, a
 //! different cache format generation, or a non-marpled service on the address) is
 //! rejected client-side with a message naming both sides, so version skew fails in one
@@ -47,8 +47,9 @@ pub const SERVER_NAME: &str = "marpled v2";
 /// Frame-level protocol generation (3: `report` stats carry every `CheckStats`
 /// counter by its schema name, `avg_fa_size` is derived from `dfa_transitions` and
 /// `dfas_built`, and every counter key is required; 4: `report` stats gained
-/// `theory_checks`).
-pub const PROTOCOL_VERSION: u64 = 4;
+/// `theory_checks`; 5: `report` stats lost `transition_memo_hits` and the `cache`
+/// object lost `transition_hits` and `transition_misses`).
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// The disk-cache format generation the daemon serves (`hat-engine-cache v6`). Part of
 /// the handshake so a client built against a different store generation refuses early.
@@ -866,7 +867,6 @@ mod tests {
             dfa_states: 23,
             dfa_transitions: 61,
             alphabet_pruned: 2,
-            transition_memo_hits: 11,
             product_states: 19,
             shape_memo_hits: 3,
             shared_tier_locks: 8,
@@ -950,8 +950,6 @@ mod tests {
             stale: 1,
             minterm_hits: 20,
             minterm_misses: 3,
-            transition_hits: 30,
-            transition_misses: 5,
             subsumption_hits: 4,
             subsumption_misses: 2,
             lock_acquisitions: 60,

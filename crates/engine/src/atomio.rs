@@ -110,9 +110,7 @@ fn ser_name(n: &str, out: &mut String) {
         .chars()
         .flat_map(|c| match c {
             '\\' => "\\\\".chars().collect::<Vec<_>>(),
-            c if (c as u32) < 0x20 || c == '\u{7f}' => {
-                format!("\\x{:02x}", c as u32).chars().collect()
-            }
+            c if is_escaped_control(c) => format!("\\x{:02x}", c as u32).chars().collect(),
             c => vec![c],
         })
         .collect();
@@ -288,10 +286,22 @@ impl Parser<'_> {
     }
 }
 
+/// Whether `ser_name` escapes `c` as `\\xHH` rather than writing it raw.
+fn is_escaped_control(c: char) -> bool {
+    (c as u32) < 0x20 || c == '\u{7f}'
+}
+
+/// Decodes exactly what `ser_name` writes: a raw control character, an escape of a
+/// character `ser_name` writes raw, or an uppercase hex digit is a flipped byte, so the
+/// name is rejected rather than read as another name.
 fn unescape(s: &str) -> Option<String> {
+    let hex = |c: char| c.to_digit(16).filter(|_| !c.is_ascii_uppercase());
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
+        if is_escaped_control(c) {
+            return None;
+        }
         if c != '\\' {
             out.push(c);
             continue;
@@ -299,9 +309,9 @@ fn unescape(s: &str) -> Option<String> {
         match chars.next()? {
             '\\' => out.push('\\'),
             'x' => {
-                let hi = chars.next()?.to_digit(16)?;
-                let lo = chars.next()?.to_digit(16)?;
-                out.push(char::from_u32(hi * 16 + lo)?);
+                let hi = hex(chars.next()?)?;
+                let lo = hex(chars.next()?)?;
+                out.push(char::from_u32(hi * 16 + lo).filter(|&c| is_escaped_control(c))?);
             }
             _ => return None,
         }
@@ -404,6 +414,18 @@ mod tests {
             let back = parse_minterm_set(&payload).expect("fuzzed payload parses");
             assert_eq!(back.minterms, set.minterms);
             assert_eq!(back.uniform_literals, set.uniform_literals);
+        }
+    }
+
+    #[test]
+    fn names_decode_only_what_the_encoder_writes() {
+        let payload_with = |name: &str| format!("U0;M1;O{}#{name}0;P0;Q0;", name.len());
+        assert!(parse_minterm_set(&payload_with("a\\x09b")).is_some());
+        for raw in ["a\tb", "a\u{1}b", "a\u{7f}b", "a\\x41b", "a\\x0Ab"] {
+            assert!(
+                parse_minterm_set(&payload_with(raw)).is_none(),
+                "{raw:?} is not something `ser_name` writes"
+            );
         }
     }
 

@@ -19,17 +19,17 @@
 //! * **Minterm sets** (`M` records): whole memoised alphabet transformations keyed by
 //!   [`crate::canon::alphabet_key`], persisted through the line-safe atom serialisation
 //!   of [`crate::atomio`] — a warm run skips minterm enumeration entirely.
-//! * **DFA transitions** (`T`, in-process only): memoised `state × answers → successor`
-//!   derivatives keyed by [`crate::canon::transition_key`].
 //! * **Subsumption verdicts** (`U`, in-process only): one simulation-preorder bit per
 //!   canonical residual pair, keyed by [`crate::canon::subsumption_key`] (no axiom
 //!   fingerprint, no state bound — a semantic fact about the pair) — a hit lets the
 //!   antichain walk prune a product pair whose transition rows were never even derived
 //!   by this walk.
 //!
-//! `T` and `U` live beneath the product walk, and a warm run answers its obligations
-//! from `I`, `D` and `S` records before it reaches the walk, so neither kind is written
-//! to disk (see `RecordKind::is_persisted`).
+//! `U` lives beneath the product walk, and a warm run answers its obligations from `I`,
+//! `D` and `S` records before it reaches the walk, so it is not written to disk (see
+//! `RecordKind::is_persisted`). `T` (DFA transitions) is produced nowhere: each walk
+//! derives in its own residual arena (`hat_sfa::residual`). The kind stays so that
+//! `T` segments written by older binaries are recognised and dropped.
 //!
 //! # Disk format (v6)
 //!
@@ -65,7 +65,7 @@
 use crate::atomio::{parse_minterm_set, ser_minterm_set};
 use crate::lsm::{self, Lsm, LsmConfig, LsmStatsSnapshot, ManifestState};
 use crate::tier::{DiskTier, SharedTier};
-use hat_sfa::{MemoKind, MintermSet, Sfa};
+use hat_sfa::{MemoKind, MintermSet};
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -90,7 +90,8 @@ pub enum RecordKind {
     Shape,
     /// Minterm sets (`M`).
     Minterms,
-    /// DFA transitions (`T`, in-process only).
+    /// DFA transitions (`T`), produced nowhere: the tag is kept so that `T` segments
+    /// older binaries wrote are recognised and dropped.
     Transition,
     /// Simulation-subsumption verdicts (`U`, in-process only).
     Subsumption,
@@ -131,9 +132,9 @@ impl RecordKind {
     }
 
     /// Whether records of this kind are written to the disk store: the kinds a warm run
-    /// reads. `T` and `U` sit beneath the product walk, which a warm run never reaches,
-    /// so they stay in-process; a store that still names their segments has them
-    /// dropped unread at open.
+    /// reads. `U` sits beneath the product walk, which a warm run never reaches, so it
+    /// stays in-process, and `T` is produced nowhere; a store that still names their
+    /// segments has them dropped unread at open.
     pub(crate) fn is_persisted(self) -> bool {
         !matches!(self, RecordKind::Transition | RecordKind::Subsumption)
     }
@@ -165,16 +166,14 @@ impl From<MemoKind> for RecordKind {
 
 /// The value of one memo record, whatever its kind, in the canonical names of its key
 /// (a [`hat_sfa::MemoAnswer`] carries the same value in the asking query's names).
-/// Payloads sit behind an [`Arc`], so promoting a record between tiers or answering a
-/// lookup never deep-copies it.
+/// Minterm sets sit behind an [`Arc`], so promoting a record between tiers or answering
+/// a lookup never deep-copies one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MemoValue {
     /// A verdict bit (`S`, `I`, `D` and `U` records).
     Verdict(bool),
     /// A canonical minterm set (`M` records).
     Minterms(Arc<MintermSet>),
-    /// A canonical successor automaton (`T` records, never written to disk).
-    Transition(Arc<Sfa>),
 }
 
 impl From<bool> for MemoValue {
@@ -189,19 +188,12 @@ impl From<MintermSet> for MemoValue {
     }
 }
 
-impl From<Sfa> for MemoValue {
-    fn from(succ: Sfa) -> Self {
-        MemoValue::Transition(Arc::new(succ))
-    }
-}
-
 /// Serialises one record of a persisted kind as the line it occupies in a segment.
 fn record_line(kind: RecordKind, key: &str, value: &MemoValue) -> String {
     let tag = kind.tag();
     match value {
         MemoValue::Verdict(verdict) => format!("{tag}{}\t{key}", u8::from(*verdict)),
         MemoValue::Minterms(set) => format!("{tag}\t{key}\t{}", ser_minterm_set(set)),
-        MemoValue::Transition(_) => unreachable!("`T` records are never written"),
     }
 }
 
@@ -241,10 +233,6 @@ hat_sfa::counters! {
         minterm_hits: usize,
         /// Alphabet transformations that had to be enumerated.
         minterm_misses: usize,
-        /// DFA transitions answered from the transition memo.
-        transition_hits: usize,
-        /// DFA transitions that had to be derived.
-        transition_misses: usize,
         /// Simulation-subsumption orders answered from the `U` memo.
         subsumption_hits: usize,
         /// Simulation-subsumption probes that missed the `U` memo (the walk falls back to
@@ -925,8 +913,6 @@ impl MemoStore {
             stale: self.counters.stale.load(Ordering::Relaxed),
             minterm_hits: hits(RecordKind::Minterms),
             minterm_misses: misses(RecordKind::Minterms),
-            transition_hits: hits(RecordKind::Transition),
-            transition_misses: misses(RecordKind::Transition),
             subsumption_hits: hits(RecordKind::Subsumption),
             subsumption_misses: misses(RecordKind::Subsumption),
             lock_acquisitions: self.shared.iter().map(SharedTier::lock_acquisitions).sum(),
@@ -1194,29 +1180,21 @@ mod tests {
     }
 
     #[test]
-    fn transition_and_subsumption_memos_stay_in_process() {
+    fn subsumption_memos_stay_in_process() {
         let path = temp_path("in-process-kinds");
         cleanup(&path);
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
-            assert!(cache.lookup(RecordKind::Transition, "tr|x").is_none());
-            cache.insert(RecordKind::Transition, "tr|x".into(), Sfa::Zero.into());
             cache.insert(RecordKind::Subsumption, "sub|x".into(), true.into());
-            assert_eq!(cache.memtable_records(), 0, "neither kind is logged");
-            assert_eq!(
-                cache.lookup(RecordKind::Transition, "tr|x"),
-                Some(Sfa::Zero.into())
-            );
+            assert_eq!(cache.memtable_records(), 0, "`U` records are not logged");
             assert_eq!(
                 cache.lookup(RecordKind::Subsumption, "sub|x"),
                 Some(true.into())
             );
             let stats = cache.stats();
-            assert_eq!((stats.transition_hits, stats.transition_misses), (1, 1));
             assert_eq!((stats.subsumption_hits, stats.subsumption_misses), (1, 0));
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup(RecordKind::Transition, "tr|x"), None);
         assert_eq!(warm.lookup(RecordKind::Subsumption, "sub|x"), None);
         assert_eq!((warm.stats().disk_loaded, warm.stats().stale), (0, 0));
         assert!(warm.manifest().unwrap().segments.is_empty());

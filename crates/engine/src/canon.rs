@@ -276,79 +276,6 @@ pub fn alphabet_key(ctx: &VarCtx, ops: &[OpSig], pool: &LiteralPool) -> Alphabet
     }
 }
 
-/// A canonical key for one DFA transition — the residual state formula together with the
-/// signed oracle answers for every symbolic event and guard occurring in it, α-renamed —
-/// plus the renaming that produced it.
-///
-/// A Brzozowski successor is a pure *syntactic* function of exactly this data: the
-/// derivative construction consults the oracle only for events and guards of the formula
-/// it derives, and axioms, context facts and the concrete minterm influence the successor
-/// only through those answers (which are part of the key). The key therefore carries no
-/// axiom fingerprint — structurally equal transitions are shared across benchmarks.
-#[derive(Debug, Clone)]
-pub struct TransitionKey {
-    /// The stable textual key.
-    pub key: String,
-    /// Original free-variable name → canonical name, in order of first occurrence.
-    forward: BTreeMap<Ident, Ident>,
-}
-
-impl TransitionKey {
-    /// Renames a successor computed for this key's original state into canonical names
-    /// (the form stored in a shared memo). The caller must pass the successor in
-    /// [`Sfa::alpha_normal`] form, so its binders are `$q…` and cannot collide with the
-    /// canonical `$k…` free names.
-    pub fn to_canonical(&self, succ: &Sfa) -> Sfa {
-        succ.rename_free_vars(&|x| self.forward.get(x).cloned())
-    }
-
-    /// Renames a memoised canonical successor back into this key's original names. The
-    /// result is re-sorted by the caller (`Sfa::alpha_normal`): `And`/`Or` children were
-    /// ordered under the storer's names.
-    pub fn from_canonical(&self, succ: &Sfa) -> Sfa {
-        let inverse: BTreeMap<&str, &Ident> = self
-            .forward
-            .iter()
-            .map(|(orig, canon)| (canon.as_str(), orig))
-            .collect();
-        succ.rename_free_vars(&|x| inverse.get(x).map(|orig| (*orig).clone()))
-    }
-}
-
-/// Canonicalises one DFA transition: the residual state and the signed event/guard
-/// answers, α-renamed with one shared renamer so a memoised successor can be transported
-/// between α-equivalent states.
-pub fn transition_key(
-    state: &Sfa,
-    event_answers: &[(&hat_sfa::SymbolicEvent, bool)],
-    guard_answers: &[(&Formula, bool)],
-) -> TransitionKey {
-    let mut renamer = Renamer {
-        env: BTreeMap::new(),
-        free: BTreeMap::new(),
-        out_vars: Vec::new(),
-        binders: 0,
-    };
-    let mut bound = Vec::new();
-    let mut key = String::with_capacity(256);
-    key.push_str("tr|");
-    ser_sfa(&mut renamer, state, &mut bound, &mut key);
-    key.push('|');
-    for (e, answer) in event_answers {
-        ser_event(&mut renamer, e, &mut bound, &mut key);
-        key.push(if *answer { '1' } else { '0' });
-    }
-    key.push('|');
-    for (phi, answer) in guard_answers {
-        ser_formula(&renamer.formula(phi, &mut bound), &mut key);
-        key.push(if *answer { '1' } else { '0' });
-    }
-    TransitionKey {
-        key,
-        forward: renamer.free,
-    }
-}
-
 /// Canonicalises a whole automata-inclusion check `Γ ⊢ A ⊆ B` into a stable key: the
 /// context facts, the operator alphabet, the DFA state bound and both automata, α-renamed
 /// with one shared renamer. The verdict of an inclusion check is a pure function of this
@@ -552,7 +479,7 @@ pub fn subsumption_key(a: &Sfa, b: &Sfa, alphabet: &[Minterm]) -> String {
 /// [`hat_sfa::SolverOracle`] to the per-kind key constructors of this module; the
 /// axiom-fingerprint discipline (prefix [`Minterms`](CanonicalMemoKey::Minterms) and
 /// [`Inclusion`](CanonicalMemoKey::Inclusion) keys, never
-/// [`Shape`](CanonicalMemoKey::Shape) or [`Transition`](CanonicalMemoKey::Transition)
+/// [`Shape`](CanonicalMemoKey::Shape) or [`Subsumption`](CanonicalMemoKey::Subsumption)
 /// ones) is applied by the caller, which knows its axiom set.
 #[derive(Debug, Clone)]
 pub enum CanonicalMemoKey {
@@ -564,8 +491,6 @@ pub enum CanonicalMemoKey {
     Shape(String),
     /// A [`subsumption_key`] (axiom-independent by construction).
     Subsumption(String),
-    /// A [`transition_key`] (axiom-independent by construction).
-    Transition(TransitionKey),
 }
 
 impl CanonicalMemoKey {
@@ -573,7 +498,6 @@ impl CanonicalMemoKey {
     pub(crate) fn key(&self) -> &str {
         match self {
             CanonicalMemoKey::Minterms(alphabet) => &alphabet.key,
-            CanonicalMemoKey::Transition(transition) => &transition.key,
             CanonicalMemoKey::Inclusion(key)
             | CanonicalMemoKey::Shape(key)
             | CanonicalMemoKey::Subsumption(key) => key,
@@ -614,11 +538,6 @@ pub fn memo_key(query: &MemoQuery) -> CanonicalMemoKey {
         MemoQuery::Subsumption { a, b, alphabet } => {
             CanonicalMemoKey::Subsumption(subsumption_key(a, b, alphabet))
         }
-        MemoQuery::Transition {
-            state,
-            events,
-            guards,
-        } => CanonicalMemoKey::Transition(transition_key(state, events, guards)),
     }
 }
 

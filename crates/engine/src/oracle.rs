@@ -8,7 +8,7 @@
 //! the shared sharded tier of the [`MemoStore`], promoting shared hits into the local
 //! tier on the way back so the next lookup of the same key touches no lock. The whole
 //! memo hierarchy above the solver cache — minterm sets, inclusion verdicts, DFA shapes,
-//! transitions, subsumption verdicts — flows through the same two methods via the
+//! subsumption verdicts — flows through the same two methods via the
 //! single typed [`SolverOracle::memo_lookup`]/[`SolverOracle::memo_store`] interface,
 //! keyed by [`crate::canon::memo_key`].
 //!
@@ -130,8 +130,8 @@ impl CachingOracle {
     }
 
     /// The store key of a canonical memo key. Axiom-dependent kinds (minterm sets,
-    /// inclusion verdicts) carry this oracle's axiom prefix; shapes, subsumption
-    /// verdicts and transitions are pure syntactic functions of data inside the key, so
+    /// inclusion verdicts) carry this oracle's axiom prefix; shapes and subsumption
+    /// verdicts are pure syntactic functions of data inside the key, so
     /// α-equal ones are shared across benchmarks with different axiom sets (the checker
     /// refuses to store a shape or subsumption verdict if a context-dependent SMT
     /// fallback ever fired).
@@ -175,9 +175,6 @@ fn from_canonical(canonical: &CanonicalMemoKey, value: MemoValue) -> Option<Memo
         (CanonicalMemoKey::Minterms(alphabet), MemoValue::Minterms(set)) => {
             MemoAnswer::Minterms(Cow::Owned(alphabet.from_canonical(&set)))
         }
-        (CanonicalMemoKey::Transition(tk), MemoValue::Transition(succ)) => {
-            MemoAnswer::Transition(Cow::Owned(tk.from_canonical(&succ)))
-        }
         (
             CanonicalMemoKey::Inclusion(_)
             | CanonicalMemoKey::Shape(_)
@@ -194,9 +191,6 @@ fn to_canonical(canonical: &CanonicalMemoKey, answer: &MemoAnswer) -> Option<Mem
     Some(match (canonical, answer) {
         (CanonicalMemoKey::Minterms(alphabet), MemoAnswer::Minterms(set)) => {
             alphabet.to_canonical(set).into()
-        }
-        (CanonicalMemoKey::Transition(tk), MemoAnswer::Transition(succ)) => {
-            tk.to_canonical(succ).into()
         }
         (
             CanonicalMemoKey::Inclusion(_)

@@ -113,6 +113,37 @@ impl SymbolicEvent {
             ..event
         }
     }
+
+    /// The event with its argument and result binders renamed to `$q0, $q1, …`
+    /// positionally (the leaf case of [`Sfa::alpha_normal`]).
+    pub fn alpha_normal(&self) -> SymbolicEvent {
+        let mut map: Vec<(Ident, Ident)> = Vec::new();
+        let args: Vec<Ident> = self
+            .args
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let canon = format!("$q{i}");
+                map.push((a.clone(), canon.clone()));
+                canon
+            })
+            .collect();
+        let result = format!("$q{}", self.args.len());
+        map.push((self.result.clone(), result.clone()));
+        // Later binders shadow earlier ones with the same name (reversed search).
+        let phi = self.phi.rename_free_vars(&|v: &str| {
+            map.iter()
+                .rev()
+                .find(|(orig, _)| orig == v)
+                .map(|(_, c)| c.clone())
+        });
+        SymbolicEvent {
+            op: self.op.clone(),
+            args,
+            result,
+            phi,
+        }
+    }
 }
 
 impl fmt::Display for SymbolicEvent {
@@ -402,9 +433,9 @@ impl Sfa {
     /// Local (per-event) numbering makes the form compositional — the normal form of a
     /// node depends only on the normal forms of its children — so it is idempotent, and
     /// two automata that differ only in event binder spellings normalise to equal values.
-    /// The DFA construction normalises every state, so memoised successors (stored
-    /// binder-canonically) and freshly computed derivatives can never disagree on state
-    /// identity.
+    /// The residual arena of the DFA construction ([`crate::residual::Residuals`])
+    /// interns every state in this form, so a residual it materialises is exactly the
+    /// tree the subsumption order and the shape and subsumption memo keys read.
     ///
     /// ```
     /// use hat_logic::{Formula, Term};
@@ -423,37 +454,7 @@ impl Sfa {
     pub fn alpha_normal(&self) -> Sfa {
         match self {
             Sfa::Zero | Sfa::Epsilon | Sfa::Guard(_) => self.clone(),
-            Sfa::Event(e) => {
-                let mut map: Vec<(Ident, Ident)> = Vec::new();
-                let args: Vec<Ident> = e
-                    .args
-                    .iter()
-                    .enumerate()
-                    .map(|(i, a)| {
-                        let canon = format!("$q{i}");
-                        map.push((a.clone(), canon.clone()));
-                        canon
-                    })
-                    .collect();
-                let result = {
-                    let canon = format!("$q{}", e.args.len());
-                    map.push((e.result.clone(), canon.clone()));
-                    canon
-                };
-                // Later binders shadow earlier ones with the same name (reversed search).
-                let phi = e.phi.rename_free_vars(&|v: &str| {
-                    map.iter()
-                        .rev()
-                        .find(|(orig, _)| orig == v)
-                        .map(|(_, c)| c.clone())
-                });
-                Sfa::Event(SymbolicEvent {
-                    op: e.op.clone(),
-                    args,
-                    result,
-                    phi,
-                })
-            }
+            Sfa::Event(e) => Sfa::Event(e.alpha_normal()),
             Sfa::Not(a) => Sfa::not(a.alpha_normal()),
             Sfa::And(parts) => Sfa::and(parts.iter().map(Sfa::alpha_normal).collect()),
             Sfa::Or(parts) => Sfa::or(parts.iter().map(Sfa::alpha_normal).collect()),

@@ -12,15 +12,19 @@
 //!   the product frontier actually reaches, and stops at the first accepting product
 //!   state (a counterexample). Neither DFA is ever materialised.
 //!
-//! Both share one derivative-resolution step ([`resolved_derivative`]) so the run-wide
-//! transition memo (see `hat-engine`) serves them interchangeably.
+//! Both derive in a hash-consed arena of residual states ([`crate::residual`]), one per
+//! walk or build: a state is a `u32` id, a successor is derived once per (node, symbol),
+//! and nothing outlives the walk. Each discovered state is materialised as an α-normal
+//! [`Sfa`] once, for the subsumption order and its memo keys. The tree [`derivative`]
+//! is the reference the arena is tested against.
 
 use crate::ast::{Sfa, SymbolicEvent};
 use crate::minterm::Minterm;
+use crate::residual::{Residuals, StateId};
 use crate::stats::CheckStats;
 use crate::subsume::{Subsumer, SubsumptionMode};
 use hat_logic::Formula;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 /// Decides whether a minterm (an equivalence class of concrete events) is covered by a
@@ -30,21 +34,6 @@ pub trait TransitionOracle {
     fn event_matches(&mut self, e: &SymbolicEvent, m: &Minterm) -> bool;
     /// Does the (event-independent) guard `phi` hold under the minterm's context valuation?
     fn guard_holds(&mut self, phi: &Formula, m: &Minterm) -> bool;
-
-    /// Looks up a memoised successor for `state × minterm`. A successor is a pure
-    /// syntactic function of the state formula and the oracle's answers for the events
-    /// and guards occurring in it, so implementations can key a run-wide memo on exactly
-    /// that data (α-renamed) and share transitions across structurally equal
-    /// sub-automata. `None` (the default) computes the derivative.
-    fn derivative_lookup(&mut self, state: &Sfa, m: &Minterm) -> Option<Sfa> {
-        let _ = (state, m);
-        None
-    }
-
-    /// Memoises a computed successor for later [`TransitionOracle::derivative_lookup`]s.
-    fn derivative_store(&mut self, state: &Sfa, m: &Minterm, succ: &Sfa) {
-        let _ = (state, m, succ);
-    }
 
     /// Looks up a memoised simulation verdict `L(a) ⊆ L(b)` over `alphabet` (see
     /// [`crate::subsume`]). The verdict is a semantic fact about the α-renamed
@@ -111,6 +100,10 @@ pub fn nullable(a: &Sfa) -> bool {
 
 /// The Brzozowski derivative of `a` with respect to the minterm `m`: a formula accepted by
 /// exactly the traces `α` such that `e·α` is accepted by `a` for events `e` in class `m`.
+///
+/// This tree version is the reference for [`Residuals::derive`], which the walk and
+/// [`Dfa::build`] use: an interned derivative materialises to exactly
+/// `derivative(state, m).alpha_normal()` (`tests/derivative_differential.rs`).
 pub fn derivative(a: &Sfa, m: &Minterm, oracle: &mut dyn TransitionOracle) -> Sfa {
     match a {
         Sfa::Zero | Sfa::Epsilon => Sfa::Zero,
@@ -149,38 +142,22 @@ pub fn derivative(a: &Sfa, m: &Minterm, oracle: &mut dyn TransitionOracle) -> Sf
     }
 }
 
-/// Resolves the successor of `state` under `m`: answered from the oracle's transition
-/// memo when possible, derived (and stored) otherwise. The result is always in
-/// [`Sfa::alpha_normal`] form — memoised successors come back with the caller's
-/// free-variable names but were sorted under the storer's, and fresh derivatives are
-/// normalised before being stored — so callers can use it directly for state identity.
-pub fn resolved_derivative(state: &Sfa, m: &Minterm, oracle: &mut dyn TransitionOracle) -> Sfa {
-    match oracle.derivative_lookup(state, m) {
-        Some(d) => d.alpha_normal(),
-        None => {
-            let d = derivative(state, m, oracle).alpha_normal();
-            oracle.derivative_store(state, m, &d);
-            d
-        }
-    }
-}
-
-/// One side of the lazy product walk: the residual states discovered so far (always in
-/// α-normal form) and their transition rows, filled only when the product frontier first
-/// visits a state.
+/// One side of the lazy product walk: the residual states discovered so far, as arena
+/// ids and materialised, and their transition rows, filled only when the product
+/// frontier first visits a state.
 struct LazySide {
+    ids: Vec<StateId>,
     states: Vec<Sfa>,
-    index: BTreeMap<Sfa, usize>,
+    index: HashMap<StateId, usize>,
     rows: Vec<Option<Vec<usize>>>,
 }
 
 impl LazySide {
-    fn new(start: Sfa) -> LazySide {
-        let mut index = BTreeMap::new();
-        index.insert(start.clone(), 0);
+    fn new(start: StateId, residuals: &Residuals) -> LazySide {
         LazySide {
-            states: vec![start],
-            index,
+            ids: vec![start],
+            states: vec![residuals.to_sfa(start)],
+            index: HashMap::from([(start, 0)]),
             rows: vec![None],
         }
     }
@@ -191,34 +168,42 @@ impl LazySide {
     fn ensure_row(
         &mut self,
         s: usize,
-        alphabet: &[Minterm],
+        residuals: &mut Residuals,
         oracle: &mut dyn TransitionOracle,
         max_states: usize,
     ) -> Result<(), DfaBuildError> {
         if self.rows[s].is_some() {
             return Ok(());
         }
-        let formula = self.states[s].clone();
-        let mut row = Vec::with_capacity(alphabet.len());
-        for m in alphabet {
-            let d = resolved_derivative(&formula, m, oracle);
-            let target = match self.index.get(&d) {
-                Some(&t) => t,
-                None => {
-                    let t = self.states.len();
-                    if t >= max_states {
-                        return Err(DfaBuildError::TooManyStates(max_states));
-                    }
-                    self.states.push(d.clone());
-                    self.index.insert(d, t);
-                    self.rows.push(None);
-                    t
-                }
-            };
-            row.push(target);
-        }
+        let row = (0..residuals.alphabet().len())
+            .map(|symbol| {
+                let d = residuals.derive(self.ids[s], symbol, oracle);
+                self.state_of(d, residuals, max_states)
+            })
+            .collect::<Result<Vec<usize>, DfaBuildError>>()?;
         self.rows[s] = Some(row);
         Ok(())
+    }
+
+    /// The index of residual `id`, discovering (and materialising) it when new.
+    fn state_of(
+        &mut self,
+        id: StateId,
+        residuals: &Residuals,
+        max_states: usize,
+    ) -> Result<usize, DfaBuildError> {
+        if let Some(&t) = self.index.get(&id) {
+            return Ok(t);
+        }
+        let t = self.ids.len();
+        if t >= max_states {
+            return Err(DfaBuildError::TooManyStates(max_states));
+        }
+        self.ids.push(id);
+        self.states.push(residuals.to_sfa(id));
+        self.index.insert(id, t);
+        self.rows.push(None);
+        Ok(t)
     }
 
     /// The transition row of state `s`; [`LazySide::ensure_row`] must have run first.
@@ -228,7 +213,7 @@ impl LazySide {
 
     /// Number of states discovered.
     fn num_states(&self) -> usize {
-        self.states.len()
+        self.ids.len()
     }
 
     /// Number of transitions actually derived (filled rows × alphabet size).
@@ -237,16 +222,6 @@ impl LazySide {
             .iter()
             .map(|r| r.as_ref().map(Vec::len).unwrap_or(0))
             .sum()
-    }
-
-    /// The discovered states, for the subsumption order.
-    fn states(&self) -> &[Sfa] {
-        &self.states
-    }
-
-    /// The (partially derived) transition rows, for the subsumption order.
-    fn rows(&self) -> &[Option<Vec<usize>>] {
-        &self.rows
     }
 }
 
@@ -316,8 +291,10 @@ pub fn product_included_with(
     max_states: usize,
     subsume: SubsumptionMode,
 ) -> Result<ProductRun, DfaBuildError> {
-    let mut left = LazySide::new(a.alpha_normal());
-    let mut right = LazySide::new(b.alpha_normal());
+    let mut residuals = Residuals::new(alphabet);
+    let (start_a, start_b) = (residuals.intern(a), residuals.intern(b));
+    let mut left = LazySide::new(start_a, &residuals);
+    let mut right = LazySide::new(start_b, &residuals);
     let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
     let mut antichain: Vec<(usize, usize)> = Vec::new();
     let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
@@ -327,12 +304,12 @@ pub fn product_included_with(
     queue.push_back((0, 0));
     let mut included = true;
     while let Some((sa, sb)) = queue.pop_front() {
-        if nullable(&left.states[sa]) && !nullable(&right.states[sb]) {
+        if residuals.nullable(left.ids[sa]) && !residuals.nullable(right.ids[sb]) {
             included = false;
             break;
         }
-        left.ensure_row(sa, alphabet, oracle, max_states)?;
-        right.ensure_row(sb, alphabet, oracle, max_states)?;
+        left.ensure_row(sa, &mut residuals, oracle, max_states)?;
+        right.ensure_row(sb, &mut residuals, oracle, max_states)?;
         for (&na, &nb) in left.row(sa).iter().zip(right.row(sb)) {
             if !seen.insert((na, nb)) {
                 continue;
@@ -341,10 +318,10 @@ pub fn product_included_with(
                 na,
                 nb,
                 &antichain,
-                left.states(),
-                left.rows(),
-                right.states(),
-                right.rows(),
+                &left.states,
+                &left.rows,
+                &right.states,
+                &right.rows,
                 alphabet,
                 oracle,
             ) {
@@ -375,59 +352,18 @@ impl Dfa {
         oracle: &mut dyn TransitionOracle,
         max_states: usize,
     ) -> Result<Dfa, DfaBuildError> {
-        // Every state is kept in α-normal form so that residuals that differ only in
-        // event binder spelling (including memoised successors, which are stored
-        // binder-canonically) share one state.
-        let a = a.alpha_normal();
-        let mut states: Vec<Sfa> = vec![a.clone()];
-        let mut index: BTreeMap<Sfa, usize> = BTreeMap::new();
-        index.insert(a.clone(), 0);
-        let mut transitions: Vec<Vec<usize>> = Vec::new();
-        let mut work = vec![0usize];
-        while let Some(s) = work.pop() {
-            if transitions.len() <= s {
-                transitions.resize(states.len(), Vec::new());
-            }
-            if !transitions[s].is_empty() {
-                continue;
-            }
-            let formula = states[s].clone();
-            let mut row = Vec::with_capacity(alphabet.len());
-            for m in alphabet {
-                let d = resolved_derivative(&formula, m, oracle);
-                let target = match index.get(&d) {
-                    Some(&t) => t,
-                    None => {
-                        let t = states.len();
-                        if t >= max_states {
-                            return Err(DfaBuildError::TooManyStates(max_states));
-                        }
-                        states.push(d.clone());
-                        index.insert(d, t);
-                        work.push(t);
-                        t
-                    }
-                };
-                row.push(target);
-            }
-            if transitions.len() < states.len() {
-                transitions.resize(states.len(), Vec::new());
-            }
-            transitions[s] = row;
+        let mut residuals = Residuals::new(alphabet);
+        let start = residuals.intern(a);
+        let mut side = LazySide::new(start, &residuals);
+        let mut s = 0;
+        while s < side.num_states() {
+            side.ensure_row(s, &mut residuals, oracle, max_states)?;
+            s += 1;
         }
-        if transitions.len() < states.len() {
-            transitions.resize(states.len(), Vec::new());
-        }
-        // Any state left without a row (unreachable duplicates) gets a self-loop row.
-        let alphabet_len = alphabet.len();
-        for (s, row) in transitions.iter_mut().enumerate() {
-            if row.is_empty() && alphabet_len > 0 {
-                *row = vec![s; alphabet_len];
-            }
-        }
-        let accepting = states.iter().map(nullable).collect();
+        let accepting = side.ids.iter().map(|&id| residuals.nullable(id)).collect();
+        let transitions = side.rows.into_iter().flatten().collect();
         Ok(Dfa {
-            states,
+            states: side.states,
             accepting,
             transitions,
         })

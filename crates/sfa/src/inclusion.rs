@@ -21,6 +21,12 @@
 //!   testing and measurement): build both complete DFAs with [`Dfa::build`], then BFS
 //!   their product with [`Dfa::included_in`].
 //!
+//! Both pipelines derive residual states in a hash-consed arena owned by the walk or
+//! build ([`crate::residual`]), which resolves each event and guard once per alphabet
+//! symbol through this module's transition oracle. No derivative outlives its walk, so
+//! derivatives are never memoised across walks; the memo kinds below start one level
+//! up, at whole walks.
+//!
 //! On top of either pipeline, oracles can *memoise per-group product walks by shape*
 //! ([`MemoQuery::Shape`]): the α-renamed (automaton pair, pruned alphabet) fully
 //! determines the walk's verdict — transitions are resolved propositionally from minterm
@@ -99,7 +105,9 @@ pub enum MemoKind {
     Inclusion,
     /// One per-group product walk over an (automaton pair, pruned alphabet) shape.
     Shape,
-    /// One Brzozowski derivative `state × answers → successor`.
+    /// DFA transitions. No query carries this kind: every walk derives in its own
+    /// residual arena ([`crate::residual`]). It is kept only because the repository
+    /// benchmark's helper names it, and leaves when that helper is rewritten.
     Transition,
     /// One simulation-subsumption verdict `L(a) ⊆ L(b)` between two residual states
     /// over a pruned group alphabet.
@@ -167,20 +175,6 @@ pub enum MemoQuery<'a> {
         /// The (pruned) group alphabet the order is relative to.
         alphabet: &'a [Minterm],
     },
-    /// One DFA transition (answer: [`MemoAnswer::Transition`]). A Brzozowski successor
-    /// is a pure syntactic function of the state formula and the signed answers for the
-    /// symbolic events and guards occurring in it — axioms, context facts and the
-    /// concrete minterm only enter through those answers — so the query carries exactly
-    /// that data and the memo is shared across benchmarks with different axiom sets.
-    /// Oracles must return the successor renamed back into the caller's variable names.
-    Transition {
-        /// The residual state being derived.
-        state: &'a Sfa,
-        /// The signed answer for every symbolic event occurring in `state`.
-        events: &'a [(&'a SymbolicEvent, bool)],
-        /// The signed answer for every guard occurring in `state`.
-        guards: &'a [(&'a Formula, bool)],
-    },
 }
 
 impl MemoQuery<'_> {
@@ -191,7 +185,6 @@ impl MemoQuery<'_> {
             MemoQuery::Inclusion { .. } => MemoKind::Inclusion,
             MemoQuery::Shape { .. } => MemoKind::Shape,
             MemoQuery::Subsumption { .. } => MemoKind::Subsumption,
-            MemoQuery::Transition { .. } => MemoKind::Transition,
         }
     }
 }
@@ -203,12 +196,11 @@ impl MemoQuery<'_> {
 /// values (`Cow::Owned`, renamed into the query's variable names by the oracle).
 #[derive(Debug, Clone)]
 pub enum MemoAnswer<'a> {
-    /// A boolean verdict ([`MemoKind::Inclusion`] and [`MemoKind::Shape`]).
+    /// A boolean verdict ([`MemoKind::Inclusion`], [`MemoKind::Shape`] and
+    /// [`MemoKind::Subsumption`]).
     Verdict(bool),
     /// A whole minterm set ([`MemoKind::Minterms`]).
     Minterms(Cow<'a, MintermSet>),
-    /// A successor automaton ([`MemoKind::Transition`]).
-    Transition(Cow<'a, Sfa>),
 }
 
 impl MemoAnswer<'_> {
@@ -229,7 +221,7 @@ impl MemoAnswer<'_> {
 /// single typed memo interface ([`SolverOracle::memo_lookup`] /
 /// [`SolverOracle::memo_store`], with [`SolverOracle::memoises`] as the capability
 /// probe): one [`MemoQuery`] variant per record kind, uniformly for minterm sets,
-/// inclusion verdicts, per-group shapes and DFA transitions. The defaults memoise
+/// inclusion verdicts, per-group shapes and subsumption verdicts. The defaults memoise
 /// nothing.
 pub trait SolverOracle {
     /// Is the conjunction of `facts` satisfiable, with `vars` as free constants?
@@ -274,8 +266,8 @@ pub trait SolverOracle {
     }
 
     /// Whether this oracle can ever answer a [`SolverOracle::memo_lookup`] for the given
-    /// record kind. Lets callers skip assembling a query — notably the signed answer
-    /// signature of a [`MemoQuery::Transition`] — when the oracle memoises nothing.
+    /// record kind. Lets callers skip assembling a query when the oracle memoises
+    /// nothing.
     fn memoises(&self, kind: MemoKind) -> bool {
         let _ = kind;
         false
@@ -346,12 +338,6 @@ struct MatchOracle<'a> {
     /// user's).
     event_cache: BTreeMap<(String, Formula, Minterm), bool>,
     guard_cache: BTreeMap<(Formula, Minterm), bool>,
-    /// The signature assembled by the last `derivative_lookup` miss. `Dfa::build` always
-    /// pairs a miss with a `derivative_store` for the same transition, so the store
-    /// reuses it instead of re-walking the state and re-probing the answer caches.
-    pending_signature: Option<Signature>,
-    /// Number of successors answered from the oracle's transition memo.
-    memo_hits: usize,
     /// Number of answers that fell back to a context-dependent SMT entailment because
     /// `eval_under` found an atom outside the minterm's assignment. While this stays at
     /// zero a group's verdict is a pure function of its (automata, alphabet) shape, so
@@ -367,8 +353,6 @@ impl<'a> MatchOracle<'a> {
             oracle,
             event_cache: BTreeMap::new(),
             guard_cache: BTreeMap::new(),
-            pending_signature: None,
-            memo_hits: 0,
             fallback_queries: 0,
         }
     }
@@ -382,52 +366,6 @@ impl<'a> MatchOracle<'a> {
             vars.push((res_name(), sig.ret.clone()));
         }
         vars
-    }
-
-    /// The signed answers for every event and guard of `state` under `m` — the complete
-    /// oracle data a derivative of `state` with respect to `m` can consult. The
-    /// underlying entailment queries share the per-check caches with the derivative
-    /// computation itself, so resolving the signature never duplicates solver work.
-    fn answer_signature(&mut self, state: &Sfa, m: &Minterm) -> Signature {
-        let mut events = Vec::new();
-        let mut guards = Vec::new();
-        state.collect_events_guards(&mut events, &mut guards);
-        let events: Vec<(SymbolicEvent, bool)> = events
-            .into_iter()
-            .map(|e| {
-                let e = e.clone();
-                let ans = self.event_matches(&e, m);
-                (e, ans)
-            })
-            .collect();
-        let guards: Vec<(Formula, bool)> = guards
-            .into_iter()
-            .map(|phi| {
-                let phi = phi.clone();
-                let ans = self.guard_holds(&phi, m);
-                (phi, ans)
-            })
-            .collect();
-        Signature { events, guards }
-    }
-}
-
-/// The signed event/guard answers of one minterm with respect to a pair of automata:
-/// minterms with equal signatures are interchangeable alphabet symbols (they induce the
-/// same successor on every residual state), so only one representative per signature has
-/// to survive into product construction.
-struct Signature {
-    events: Vec<(SymbolicEvent, bool)>,
-    guards: Vec<(Formula, bool)>,
-}
-
-impl Signature {
-    fn event_refs(&self) -> Vec<(&SymbolicEvent, bool)> {
-        self.events.iter().map(|(e, b)| (e, *b)).collect()
-    }
-
-    fn guard_refs(&self) -> Vec<(&Formula, bool)> {
-        self.guards.iter().map(|(phi, b)| (phi, *b)).collect()
     }
 }
 
@@ -484,51 +422,6 @@ impl TransitionOracle for MatchOracle<'_> {
         let result = self.oracle.entails(&vars, &facts, phi);
         self.guard_cache.insert(key, result);
         result
-    }
-
-    fn derivative_lookup(&mut self, state: &Sfa, m: &Minterm) -> Option<Sfa> {
-        if !self.oracle.memoises(MemoKind::Transition) {
-            return None;
-        }
-        let sig = self.answer_signature(state, m);
-        let events = sig.event_refs();
-        let guards = sig.guard_refs();
-        let query = MemoQuery::Transition {
-            state,
-            events: &events,
-            guards: &guards,
-        };
-        let found = match self.oracle.memo_lookup(&query) {
-            Some(MemoAnswer::Transition(succ)) => Some(succ.into_owned()),
-            _ => None,
-        };
-        if found.is_some() {
-            self.memo_hits += 1;
-        }
-        self.pending_signature = found.is_none().then_some(sig);
-        found
-    }
-
-    fn derivative_store(&mut self, state: &Sfa, m: &Minterm, succ: &Sfa) {
-        if !self.oracle.memoises(MemoKind::Transition) {
-            return;
-        }
-        // The paired lookup (a miss) left its signature behind; recompute (from the
-        // per-check answer caches it filled) only if the pairing was broken by an
-        // unexpected call sequence.
-        let sig = self
-            .pending_signature
-            .take()
-            .unwrap_or_else(|| self.answer_signature(state, m));
-        let events = sig.event_refs();
-        let guards = sig.guard_refs();
-        let query = MemoQuery::Transition {
-            state,
-            events: &events,
-            guards: &guards,
-        };
-        self.oracle
-            .memo_store(&query, &MemoAnswer::Transition(Cow::Borrowed(succ)));
     }
 
     fn subsumption_lookup(&mut self, a: &Sfa, b: &Sfa, alphabet: &[Minterm]) -> Option<bool> {
@@ -751,7 +644,6 @@ impl InclusionChecker {
                 break;
             }
         }
-        self.stats.transition_memo_hits += matcher.memo_hits;
         if memoises_inclusion {
             let query = MemoQuery::Inclusion {
                 ctx,

@@ -13,7 +13,8 @@
 //! * minterm construction over the symbolic alphabet ([`minterm`]),
 //! * derivative-based DFA construction over a minterm alphabet ([`dfa`]), both
 //!   materialised ([`Dfa::build`]) and as an on-the-fly product walk
-//!   ([`dfa::product_included`]),
+//!   ([`dfa::product_included`]), deriving in a hash-consed arena of residual states
+//!   ([`residual`]),
 //! * the language-inclusion check used by HAT subtyping ([`inclusion`]), which mirrors
 //!   Algorithm 1 of the paper (including its use of SMT queries to keep only satisfiable
 //!   minterms), deciding each per-group problem on the fly by default
@@ -28,6 +29,7 @@ pub mod dfa;
 pub mod event;
 pub mod inclusion;
 pub mod minterm;
+pub mod residual;
 pub mod stats;
 pub mod subsume;
 

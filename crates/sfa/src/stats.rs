@@ -209,8 +209,6 @@ counters! {
         /// construction (minterms whose transition behaviour another symbol of the
         /// same group already exhibits).
         alphabet_pruned: usize,
-        /// Number of DFA transitions answered from the run-wide transition memo.
-        transition_memo_hits: usize,
         /// Number of distinct product states discovered by on-the-fly inclusion walks
         /// (0 when inclusion ran in materialising mode). A failing walk stops at the
         /// first accepting pair, so this is the number to compare against

@@ -1,0 +1,267 @@
+//! Differential harness for the residual arena (`hat_sfa::residual`): every interned
+//! derivative must materialise to exactly the tree reference
+//! `derivative(state, m).alpha_normal()`, intern back to the id it was derived as, and
+//! carry the reference's nullability. The walks covered are every per-group product
+//! walk of `dfa_differential.rs`'s xorshift configurations (pruned and unpruned
+//! alphabets), of a richer random grammar that makes every smart-constructor rule fire,
+//! and of the suite's inclusion obligations; each automaton is closed under derivation
+//! over its group alphabet.
+
+use hat_logic::{Atom, Formula, Ident, ScopedSession, Solver, Sort};
+use hat_sfa::dfa::{derivative, nullable, TransitionOracle};
+use hat_sfa::minterm::{arg_name, res_name};
+use hat_sfa::residual::Residuals;
+use hat_sfa::{
+    InclusionChecker, MemoAnswer, MemoKind, MemoQuery, Minterm, OpSig, Sfa, SolverOracle,
+    SymbolicEvent, VarCtx,
+};
+use std::cell::RefCell;
+use std::collections::{BTreeSet, VecDeque};
+use std::rc::Rc;
+use std::time::Duration;
+
+mod common;
+
+use common::{random_atom, random_case, random_event, XorShift, CTX_VARS};
+
+/// One per-group product walk: the two automata and the group alphabet.
+type Walk = (Sfa, Sfa, Vec<Minterm>);
+
+/// A solver that records every per-group walk the inclusion checker asks the shape memo
+/// about, and memoises nothing.
+struct Recorder {
+    solver: Solver,
+    walks: Rc<RefCell<BTreeSet<Walk>>>,
+}
+
+impl SolverOracle for Recorder {
+    fn is_sat(&mut self, vars: &[(Ident, Sort)], facts: &[Formula]) -> bool {
+        SolverOracle::is_sat(&mut self.solver, vars, facts)
+    }
+
+    fn entails(&mut self, vars: &[(Ident, Sort)], facts: &[Formula], goal: &Formula) -> bool {
+        SolverOracle::entails(&mut self.solver, vars, facts, goal)
+    }
+
+    fn query_count(&self) -> usize {
+        self.solver.query_count()
+    }
+
+    fn query_time(&self) -> Duration {
+        self.solver.query_time()
+    }
+
+    fn scoped_session<'a>(
+        &'a mut self,
+        vars: &[(Ident, Sort)],
+        base: &[Formula],
+        literals: &[Atom],
+    ) -> Option<ScopedSession<'a>> {
+        self.solver.scoped_session(vars, base, literals)
+    }
+
+    fn memoises(&self, kind: MemoKind) -> bool {
+        kind == MemoKind::Shape
+    }
+
+    fn memo_lookup(&mut self, query: &MemoQuery) -> Option<MemoAnswer<'static>> {
+        if let MemoQuery::Shape { a, b, alphabet, .. } = query {
+            self.walks
+                .borrow_mut()
+                .insert(((*a).clone(), (*b).clone(), alphabet.to_vec()));
+        }
+        None
+    }
+}
+
+/// Resolves leaves by evaluating their qualifier under the minterm's assignment, as the
+/// inclusion checker does; an atom the minterm leaves open reads as false. Arena and
+/// reference ask the same oracle, which is all the differential needs.
+struct Propositional;
+
+fn holds(f: &Formula, assignment: &[(Atom, bool)]) -> bool {
+    match f {
+        Formula::True => true,
+        Formula::False => false,
+        Formula::Atom(a) => assignment.iter().any(|(x, v)| x == a && *v),
+        Formula::Not(g) => !holds(g, assignment),
+        Formula::And(fs) => fs.iter().all(|g| holds(g, assignment)),
+        Formula::Or(fs) => fs.iter().any(|g| holds(g, assignment)),
+        Formula::Implies(p, q) => !holds(p, assignment) || holds(q, assignment),
+        Formula::Iff(p, q) => holds(p, assignment) == holds(q, assignment),
+        Formula::Forall(..) => false,
+    }
+}
+
+impl TransitionOracle for Propositional {
+    fn event_matches(&mut self, e: &SymbolicEvent, m: &Minterm) -> bool {
+        let renamed = e.phi.rename_free_vars(&|v: &str| {
+            if v == e.result {
+                Some(res_name())
+            } else {
+                e.args.iter().position(|x| x == v).map(arg_name)
+            }
+        });
+        holds(&renamed, &m.assignment)
+    }
+
+    fn guard_holds(&mut self, phi: &Formula, m: &Minterm) -> bool {
+        holds(phi, &m.assignment)
+    }
+}
+
+/// Closes `start` under derivation over `alphabet` in one arena, checking every state
+/// and derivative against the tree reference, and stops discovering states once `cap`
+/// are known. Returns the number of states.
+fn check_closure(start: &Sfa, alphabet: &[Minterm], cap: usize) -> usize {
+    let mut oracle = Propositional;
+    let mut arena = Residuals::new(alphabet);
+    let first = arena.intern(start);
+    assert_eq!(
+        arena.to_sfa(first),
+        start.alpha_normal(),
+        "interning {start}"
+    );
+    assert_eq!(
+        arena.intern(&start.alpha_normal()),
+        first,
+        "re-interning {start}"
+    );
+    let mut seen = BTreeSet::from([first]);
+    let mut queue = VecDeque::from([first]);
+    while let Some(id) = queue.pop_front() {
+        let state = arena.to_sfa(id);
+        assert_eq!(
+            arena.nullable(id),
+            nullable(&state),
+            "nullability of {state}"
+        );
+        for (symbol, m) in alphabet.iter().enumerate() {
+            let d = arena.derive(id, symbol, &mut oracle);
+            let reference = derivative(&state, m, &mut oracle).alpha_normal();
+            assert_eq!(arena.to_sfa(d), reference, "derivative of {state} by {m:?}");
+            assert_eq!(
+                arena.intern(&reference),
+                d,
+                "{reference} interned apart from the derivative it equals"
+            );
+            if seen.len() < cap && seen.insert(d) {
+                queue.push_back(d);
+            }
+        }
+    }
+    seen.len()
+}
+
+/// Checks both automata of every recorded walk; returns the states covered.
+fn check_walks(walks: &BTreeSet<Walk>, cap: usize) -> usize {
+    walks
+        .iter()
+        .map(|(a, b, alphabet)| check_closure(a, alphabet, cap) + check_closure(b, alphabet, cap))
+        .sum()
+}
+
+fn ops() -> Vec<OpSig> {
+    vec![
+        OpSig::new("tick", vec![("x".into(), Sort::Int)], Sort::Unit),
+        OpSig::new("probe", vec![], Sort::Bool),
+        OpSig::new("noop", vec![], Sort::Unit),
+    ]
+}
+
+#[test]
+fn random_configurations_derive_exactly_the_tree_reference() {
+    let walks = Rc::new(RefCell::new(BTreeSet::new()));
+    let mut rng = XorShift(0xc0ffee123456789f);
+    for _ in 0..24 {
+        let (ctx, ops, a, b) = random_case(&mut rng, &ops());
+        for prune in [true, false] {
+            let mut checker = InclusionChecker::new(ops.clone());
+            checker.prune = prune;
+            let mut recorder = Recorder {
+                solver: Solver::default(),
+                walks: Rc::clone(&walks),
+            };
+            let _ = checker.check(&ctx, &a, &b, &mut recorder);
+        }
+    }
+    let walks = walks.borrow();
+    assert!(walks.len() >= 24, "only {} walks recorded", walks.len());
+    let states = check_walks(&walks, usize::MAX);
+    assert!(
+        states > walks.len() * 2,
+        "closures stayed trivial ({states})"
+    );
+}
+
+/// A richer grammar than the shared one: it adds `ε`, the universe, `◯`, `*`, until
+/// and universe-headed concatenations, so the rules of the smart constructors that the
+/// shared grammar's formulas never reach fire too (the universe absorption of
+/// `Sfa::concat` among them). Two of its shapes are built raw, not through the smart
+/// constructors, so interning has to normalise them. Not every formula of the grammar
+/// has finitely many residuals (an until over a universe-headed concatenation grows
+/// one per step), so its closures are capped.
+fn rich_sfa(rng: &mut XorShift, depth: u64) -> Sfa {
+    if depth == 0 {
+        return match rng.below(4) {
+            0 => random_event(rng),
+            1 => Sfa::guard(Formula::Atom(random_atom(rng, false))),
+            2 => Sfa::Epsilon,
+            _ => Sfa::universe(),
+        };
+    }
+    let x = rich_sfa(rng, depth - 1);
+    match rng.below(11) {
+        0 => Sfa::not(x),
+        1 => Sfa::next(x),
+        2 => Sfa::star(x),
+        3 => Sfa::eventually(x),
+        4 => Sfa::and(vec![x, rich_sfa(rng, depth - 1)]),
+        5 => Sfa::or(vec![x, rich_sfa(rng, depth - 1)]),
+        6 => Sfa::concat(x, rich_sfa(rng, depth - 1)),
+        7 => Sfa::concat(x, Sfa::concat(Sfa::universe(), rich_sfa(rng, depth - 1))),
+        8 => Sfa::until(x, rich_sfa(rng, depth - 1)),
+        9 => Sfa::Star(Box::new(Sfa::star(x))),
+        _ => Sfa::Concat(Box::new(Sfa::star(x.clone())), Box::new(Sfa::star(x))),
+    }
+}
+
+#[test]
+fn rich_configurations_derive_exactly_the_tree_reference() {
+    let walks = Rc::new(RefCell::new(BTreeSet::new()));
+    let vars = CTX_VARS
+        .iter()
+        .map(|v| (v.to_string(), Sort::Int))
+        .collect();
+    let ctx = VarCtx::new(vars, vec![]);
+    let mut rng = XorShift(0x5eed_da7a_0b5e_55ed);
+    for _ in 0..48 {
+        let (a, b) = (rich_sfa(&mut rng, 3), rich_sfa(&mut rng, 3));
+        let mut recorder = Recorder {
+            solver: Solver::default(),
+            walks: Rc::clone(&walks),
+        };
+        let _ = InclusionChecker::new(ops()).check(&ctx, &a, &b, &mut recorder);
+    }
+    let walks = walks.borrow();
+    assert!(walks.len() >= 24, "only {} walks recorded", walks.len());
+    check_walks(&walks, 64);
+}
+
+#[test]
+fn suite_obligations_derive_exactly_the_tree_reference() {
+    let walks = Rc::new(RefCell::new(BTreeSet::new()));
+    for bench in hat_suite::all_benchmarks() {
+        let recorder = Recorder {
+            solver: Solver::with_axioms(bench.delta.axioms.clone()),
+            walks: Rc::clone(&walks),
+        };
+        let mut checker = hat_core::Checker::with_oracle(bench.delta.clone(), Box::new(recorder));
+        for m in &bench.methods {
+            let _ = checker.check_method(&m.sig, &m.body);
+        }
+    }
+    let walks = walks.borrow();
+    assert!(walks.len() > 100, "only {} walks recorded", walks.len());
+    check_walks(&walks, usize::MAX);
+}
