@@ -2,8 +2,8 @@
 //! method count, ghost count, invariant size, total verification time and the work
 //! counters of the most demanding method. Afterwards it runs the knob ablation: the
 //! `hat-engine` subsystem over the whole suite once per knob setting — 1 vs N jobs,
-//! cold vs warm cache, and each enumeration, pruning, inclusion, subsumption and
-//! local-tier knob off its default — and writes `BENCH_engine.json`: one row per run
+//! cold vs warm cache, and each enumeration, pruning, inclusion and local-tier knob off
+//! its default — and writes `BENCH_engine.json`: one row per run
 //! with its wall time and every counter per configuration.
 //!
 //! Usage: `cargo run --release -p hat-bench --bin table1 [adt-filter]`

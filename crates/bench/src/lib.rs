@@ -12,7 +12,7 @@ use hat_core::MethodReport;
 use hat_daemon::json::{obj, Json};
 use hat_daemon::proto::{counter_fields, snapshot_to_json};
 use hat_engine::{BenchmarkRun, Engine, EngineConfig, RunSummary};
-use hat_sfa::{EnumerationMode, InclusionMode, SubsumptionMode};
+use hat_sfa::{EnumerationMode, InclusionMode};
 use hat_suite::Benchmark;
 
 /// The aggregated row of Table 1 for one configuration.
@@ -161,22 +161,6 @@ fn ablation() -> Vec<(&'static str, EngineConfig, bool)> {
         ),
         ("", default(), true),
         (
-            "subsume-off",
-            EngineConfig {
-                subsume: SubsumptionMode::Off,
-                ..default()
-            },
-            true,
-        ),
-        (
-            "subsume-syntactic",
-            EngineConfig {
-                subsume: SubsumptionMode::Syntactic,
-                ..default()
-            },
-            true,
-        ),
-        (
             "",
             EngineConfig {
                 jobs: parallel_jobs,
@@ -208,7 +192,7 @@ fn ablation() -> Vec<(&'static str, EngineConfig, bool)> {
 /// they want and the writer refuses anything else — bumping the layout without bumping
 /// the version string (or vice versa) becomes a hard error at the call site instead of
 /// a silently mislabelled artefact.
-pub const ENGINE_BENCH_SCHEMA: &str = "hat-engine-bench v11";
+pub const ENGINE_BENCH_SCHEMA: &str = "hat-engine-bench v12";
 
 /// One row of the runs table: the knob settings, the configurations the run left out,
 /// the wall time, the run's cache counters and every benchmark's method counters, all
@@ -238,7 +222,6 @@ fn run_json(run: &EngineRun) -> Json {
         ("enumeration", Json::Str(enumeration.into())),
         ("prune", Json::Bool(config.prune)),
         ("inclusion", Json::Str(inclusion.into())),
-        ("subsume", Json::Str(config.subsume.as_str().into())),
         ("local_tiers", Json::Bool(config.local_tiers)),
         (
             "skipped",

@@ -9,8 +9,8 @@
 //! marple fuzz [--seed S] [--count N]      # generate N verdict-known configurations
 //!        [--exhaustive] [options]         # and verify every verdict end-to-end:
 //!                                         # plain checker, an engine knob combination
-//!                                         # (rotating through all 96; --exhaustive
-//!                                         # runs all 96 per configuration), warm
+//!                                         # (rotating through all 32; --exhaustive
+//!                                         # runs all 32 per configuration), warm
 //!                                         # memo-tier resubmission, LSM store when
 //!                                         # --cache is given, and the daemon wire
 //!                                         # when --remote is given. On the first
@@ -44,12 +44,6 @@
 //!                   product A × complement(B) lazily, exit at the first counterexample)
 //!                   or `materialise` (build both complete DFAs first; verdict-identical,
 //!                   kept as the measurement baseline)
-//!   --subsume M     antichain subsumption pruning of the on-the-fly product frontier:
-//!                   `simulation` (default — syntactic rules plus a simulation preorder
-//!                   over already-derived transition rows, memoised for the run as `U`
-//!                   records), `syntactic` (structural rules only, zero extra memo
-//!                   traffic) or `off` (the measurement baseline). All three are
-//!                   verdict-identical; ignored by `--inclusion materialise`
 //!   --local-tier M  per-worker lock-free read-through tiers in front of the shared
 //!                   memo store: `on` (default) or `off` (verdict-identical; off is the
 //!                   lock-traffic measurement baseline)
@@ -57,7 +51,7 @@
 
 use hat_daemon::{Addr, Daemon, DaemonConfig, RemoteClient, Request};
 use hat_engine::{BenchmarkRun, Engine, EngineConfig, MemoStore, RecordKind, RunSummary};
-use hat_sfa::{EnumerationMode, InclusionMode, SubsumptionMode};
+use hat_sfa::{EnumerationMode, InclusionMode};
 use hat_suite::{all_benchmarks, find, Benchmark};
 use std::path::PathBuf;
 
@@ -67,7 +61,6 @@ struct Options {
     enumeration: EnumerationMode,
     prune: bool,
     inclusion: InclusionMode,
-    subsume: SubsumptionMode,
     local_tiers: bool,
     remote: Option<Addr>,
     deadline_ms: Option<u64>,
@@ -88,7 +81,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         enumeration: EnumerationMode::default(),
         prune: true,
         inclusion: InclusionMode::default(),
-        subsume: SubsumptionMode::default(),
         local_tiers: true,
         remote: None,
         deadline_ms: None,
@@ -155,12 +147,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                         ))
                     }
                 };
-            }
-            "--subsume" => {
-                let value = it.next().ok_or("--subsume needs a mode")?;
-                opts.subsume = SubsumptionMode::parse(value).ok_or_else(|| {
-                    format!("invalid --subsume mode `{value}` (off|syntactic|simulation)")
-                })?;
             }
             "--deadline-ms" => {
                 let value = it.next().ok_or("--deadline-ms needs a value")?;
@@ -260,20 +246,17 @@ fn print_cache_line(summary: &RunSummary, lifetime: hat_engine::CacheStatsSnapsh
     let c = &summary.cache;
     let totals = summary.stats();
     println!(
-        "cache: {} hits / {} misses ({:.1}% hit rate), {} minterm-set hits, {} shape-memo hits, {} simulation-memo hits, {} shared-tier locks, {} loaded from disk, {} stale; dfa: {} states, {} product states, {} pairs subsumed ({} probes), {} alphabet symbols pruned; wall {:.2}s",
+        "cache: {} hits / {} misses ({:.1}% hit rate), {} minterm-set hits, {} shape-memo hits, {} shared-tier locks, {} loaded from disk, {} stale; dfa: {} states, {} product states, {} alphabet symbols pruned; wall {:.2}s",
         c.hits,
         c.misses,
         100.0 * c.hit_rate(),
         c.minterm_hits,
         totals.shape_memo_hits,
-        totals.simulation_memo_hits,
         c.lock_acquisitions,
         lifetime.disk_loaded,
         lifetime.stale,
         totals.dfa_states,
         totals.product_states,
-        totals.subsumed_pairs,
-        totals.subsumption_checks,
         totals.alphabet_pruned,
         summary.wall.as_secs_f64()
     );
@@ -345,8 +328,8 @@ fn run(benches: Vec<Benchmark>, opts: &Options, request: Request) -> bool {
         enumeration: opts.enumeration,
         prune: opts.prune,
         inclusion: opts.inclusion,
-        subsume: opts.subsume,
         local_tiers: opts.local_tiers,
+        ..EngineConfig::default()
     }) {
         Ok(engine) => engine,
         Err(e) => {
@@ -452,8 +435,8 @@ fn daemon_start(opts: &Options) -> Result<(), String> {
             enumeration: opts.enumeration,
             prune: opts.prune,
             inclusion: opts.inclusion,
-            subsume: opts.subsume,
             local_tiers: opts.local_tiers,
+            ..EngineConfig::default()
         },
         max_connections: opts.max_connections,
         max_client_jobs: opts.max_client_jobs,
@@ -613,12 +596,12 @@ fn fuzz(opts: &Options) -> bool {
         opts.count,
         if opts.count == 1 { "" } else { "s" },
         opts.seed,
-        if opts.exhaustive { 96 } else { 1 },
+        if opts.exhaustive { 32 } else { 1 },
         if opts.exhaustive { "s" } else { "" },
         if opts.exhaustive {
             ""
         } else {
-            ", rotating through all 96"
+            ", rotating through all 32"
         },
         if opts.cache_path.is_some() {
             "; LSM store attached"
@@ -759,11 +742,11 @@ fn main() {
         }
         Some("check") => {
             let opts = parse_options(&args[1..]).unwrap_or_else(|e| {
-                eprintln!("{e}\nusage: marple check <adt> <library> [--remote [ADDR]] [--deadline-ms N] [--jobs N] [--cache PATH] [--enum naive|incremental] [--prune on|off] [--inclusion onthefly|materialise] [--subsume off|syntactic|simulation] [--local-tier on|off]");
+                eprintln!("{e}\nusage: marple check <adt> <library> [--remote [ADDR]] [--deadline-ms N] [--jobs N] [--cache PATH] [--enum naive|incremental] [--prune on|off] [--inclusion onthefly|materialise] [--local-tier on|off]");
                 std::process::exit(2);
             });
             let (Some(adt), Some(lib)) = (opts.positional.first(), opts.positional.get(1)) else {
-                eprintln!("usage: marple check <adt> <library> [--remote [ADDR]] [--deadline-ms N] [--jobs N] [--cache PATH] [--enum naive|incremental] [--prune on|off] [--inclusion onthefly|materialise] [--subsume off|syntactic|simulation] [--local-tier on|off]");
+                eprintln!("usage: marple check <adt> <library> [--remote [ADDR]] [--deadline-ms N] [--jobs N] [--cache PATH] [--enum naive|incremental] [--prune on|off] [--inclusion onthefly|materialise] [--local-tier on|off]");
                 std::process::exit(2);
             };
             // Suite configurations by name; `gen/s<seed>-i<index>…` regenerates a
@@ -785,7 +768,7 @@ fn main() {
         }
         Some("check-all") => {
             let opts = parse_options(&args[1..]).unwrap_or_else(|e| {
-                eprintln!("{e}\nusage: marple check-all [--remote [ADDR]] [--deadline-ms N] [--jobs N] [--cache PATH] [--enum naive|incremental] [--prune on|off] [--inclusion onthefly|materialise] [--subsume off|syntactic|simulation] [--local-tier on|off]");
+                eprintln!("{e}\nusage: marple check-all [--remote [ADDR]] [--deadline-ms N] [--jobs N] [--cache PATH] [--enum naive|incremental] [--prune on|off] [--inclusion onthefly|materialise] [--local-tier on|off]");
                 std::process::exit(2);
             });
             let ok = run(all_benchmarks(), &opts, Request::CheckAll);

@@ -4,7 +4,7 @@
 //! ## Handshake
 //!
 //! On connect the server speaks first, announcing one [`Hello`] frame:
-//! `{"server":"marpled v2","protocol":5,"cache_version":6,"pid":…}`. The client checks
+//! `{"server":"marpled v2","protocol":6,"cache_version":6,"pid":…}`. The client checks
 //! all three identity fields before sending anything; a mismatch (an old daemon, a
 //! different cache format generation, or a non-marpled service on the address) is
 //! rejected client-side with a message naming both sides, so version skew fails in one
@@ -48,8 +48,10 @@ pub const SERVER_NAME: &str = "marpled v2";
 /// counter by its schema name, `avg_fa_size` is derived from `dfa_transitions` and
 /// `dfas_built`, and every counter key is required; 4: `report` stats gained
 /// `theory_checks`; 5: `report` stats lost `transition_memo_hits` and the `cache`
-/// object lost `transition_hits` and `transition_misses`).
-pub const PROTOCOL_VERSION: u64 = 5;
+/// object lost `transition_hits` and `transition_misses`; 6: `report` stats lost
+/// `simulation_memo_hits` and the `cache` object lost `subsumption_hits` and
+/// `subsumption_misses`).
+pub const PROTOCOL_VERSION: u64 = 6;
 
 /// The disk-cache format generation the daemon serves (`hat-engine-cache v6`). Part of
 /// the handshake so a client built against a different store generation refuses early.
@@ -872,7 +874,6 @@ mod tests {
             shared_tier_locks: 8,
             subsumed_pairs: 6,
             subsumption_checks: 14,
-            simulation_memo_hits: 2,
         }
     }
 
@@ -950,8 +951,6 @@ mod tests {
             stale: 1,
             minterm_hits: 20,
             minterm_misses: 3,
-            subsumption_hits: 4,
-            subsumption_misses: 2,
             lock_acquisitions: 60,
             disk_lock_acquisitions: 9,
         };

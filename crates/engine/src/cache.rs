@@ -19,17 +19,12 @@
 //! * **Minterm sets** (`M` records): whole memoised alphabet transformations keyed by
 //!   [`crate::canon::alphabet_key`], persisted through the line-safe atom serialisation
 //!   of [`crate::atomio`] — a warm run skips minterm enumeration entirely.
-//! * **Subsumption verdicts** (`U`, in-process only): one simulation-preorder bit per
-//!   canonical residual pair, keyed by [`crate::canon::subsumption_key`] (no axiom
-//!   fingerprint, no state bound — a semantic fact about the pair) — a hit lets the
-//!   antichain walk prune a product pair whose transition rows were never even derived
-//!   by this walk.
 //!
-//! `U` lives beneath the product walk, and a warm run answers its obligations from `I`,
-//! `D` and `S` records before it reaches the walk, so it is not written to disk (see
-//! `RecordKind::is_persisted`). `T` (DFA transitions) is produced nowhere: each walk
-//! derives in its own residual arena (`hat_sfa::residual`). The kind stays so that
-//! `T` segments written by older binaries are recognised and dropped.
+//! Two retired kinds are produced nowhere: `T` (DFA transitions; each walk derives in
+//! its own residual arena, `hat_sfa::residual`) and `U` (antichain-subsumption
+//! verdicts; the product walk no longer prunes). They stay so that `T` and `U`
+//! segments written by older binaries are recognised and dropped (see
+//! `RecordKind::is_persisted`).
 //!
 //! # Disk format (v6)
 //!
@@ -93,7 +88,8 @@ pub enum RecordKind {
     /// DFA transitions (`T`), produced nowhere: the tag is kept so that `T` segments
     /// older binaries wrote are recognised and dropped.
     Transition,
-    /// Simulation-subsumption verdicts (`U`, in-process only).
+    /// Subsumption verdicts (`U`), produced nowhere: the tag is kept so that `U`
+    /// segments older binaries wrote are recognised and dropped.
     Subsumption,
 }
 
@@ -131,9 +127,8 @@ impl RecordKind {
         !matches!(self, RecordKind::Minterms | RecordKind::Transition)
     }
 
-    /// Whether records of this kind are written to the disk store: the kinds a warm run
-    /// reads. `U` sits beneath the product walk, which a warm run never reaches, so it
-    /// stays in-process, and `T` is produced nowhere; a store that still names their
+    /// Whether records of this kind are written to the disk store: every kind but the
+    /// retired `T` and `U`, which are produced nowhere; a store that still names their
     /// segments has them dropped unread at open.
     pub(crate) fn is_persisted(self) -> bool {
         !matches!(self, RecordKind::Transition | RecordKind::Subsumption)
@@ -233,12 +228,6 @@ hat_sfa::counters! {
         minterm_hits: usize,
         /// Alphabet transformations that had to be enumerated.
         minterm_misses: usize,
-        /// Simulation-subsumption orders answered from the `U` memo.
-        subsumption_hits: usize,
-        /// Simulation-subsumption probes that missed the `U` memo (the walk falls back to
-        /// its local fixpoint — no solver query is implied, which is why these are counted
-        /// apart from [`misses`](CacheStatsSnapshot::misses)).
-        subsumption_misses: usize,
         /// Shared-tier shard-lock acquisitions, across every record kind. Per-worker local
         /// tiers exist to keep this flat while hit counts grow.
         lock_acquisitions: usize,
@@ -410,7 +399,8 @@ pub struct CacheFileStats {
     /// neither live nor dead, and the next locked open drops them.
     pub transitions: usize,
     /// Records in `U` segments the manifest still names, on the same terms as
-    /// [`transitions`](CacheFileStats::transitions).
+    /// [`transitions`](CacheFileStats::transitions). Both counts are retired: they
+    /// stay only because the repository benchmark's helper reads them.
     pub subsumption: usize,
     /// Records whose key already occurred in a newer segment or earlier line
     /// (superseded — compaction drops them).
@@ -899,9 +889,7 @@ impl MemoStore {
         self.len() == 0
     }
 
-    /// A snapshot of the hit/miss/disk/lock counters. Subsumption probes keep their
-    /// own counters: a `U` miss costs a local fixpoint, not a solver query, so it must
-    /// not dilute the solver-facing miss count.
+    /// A snapshot of the hit/miss/disk/lock counters.
     pub fn stats(&self) -> CacheStatsSnapshot {
         let hits = |kind: RecordKind| self.counters.hits[kind as usize].load(Ordering::Relaxed);
         let misses = |kind: RecordKind| self.counters.misses[kind as usize].load(Ordering::Relaxed);
@@ -913,8 +901,6 @@ impl MemoStore {
             stale: self.counters.stale.load(Ordering::Relaxed),
             minterm_hits: hits(RecordKind::Minterms),
             minterm_misses: misses(RecordKind::Minterms),
-            subsumption_hits: hits(RecordKind::Subsumption),
-            subsumption_misses: misses(RecordKind::Subsumption),
             lock_acquisitions: self.shared.iter().map(SharedTier::lock_acquisitions).sum(),
             disk_lock_acquisitions: self.disk.iter().map(DiskTier::lock_acquisitions).sum(),
         }
@@ -1191,8 +1177,6 @@ mod tests {
                 cache.lookup(RecordKind::Subsumption, "sub|x"),
                 Some(true.into())
             );
-            let stats = cache.stats();
-            assert_eq!((stats.subsumption_hits, stats.subsumption_misses), (1, 0));
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(warm.lookup(RecordKind::Subsumption, "sub|x"), None);
@@ -1247,21 +1231,17 @@ mod tests {
         files
     }
 
-    /// Asserts what every open of [`write_store_with_retired_kinds`]'s store serves: the
-    /// four persisted records, nothing stale, and no `T` or `U` record.
-    fn assert_serves_only_persisted_kinds(cache: &MemoStore) {
+    /// Asserts what every open of [`write_store_with_retired_kinds`]'s store serves:
+    /// nothing. Its `T` and `U` segments are skipped unread, and its `S`/`I`/`D`/`M`
+    /// segments carry no checksum, so they read as torn and their four records count
+    /// as stale: a store that old opens cold.
+    fn assert_serves_nothing(cache: &MemoStore) {
         let stats = cache.stats();
-        assert_eq!((stats.disk_loaded, stats.stale), (4, 0));
-        assert_eq!(cache.lookup(RecordKind::Solver, "sat|k"), Some(true.into()));
-        assert_eq!(
-            cache.lookup(RecordKind::Inclusion, "incl|k"),
-            Some(false.into())
-        );
-        assert_eq!(
-            cache.lookup(RecordKind::Shape, "shape|k"),
-            Some(true.into())
-        );
-        assert!(cache.lookup(RecordKind::Minterms, "mt|k").is_some());
+        assert_eq!((stats.disk_loaded, stats.stale), (0, 4));
+        assert_eq!(cache.lookup(RecordKind::Solver, "sat|k"), None);
+        assert_eq!(cache.lookup(RecordKind::Inclusion, "incl|k"), None);
+        assert_eq!(cache.lookup(RecordKind::Shape, "shape|k"), None);
+        assert!(cache.lookup(RecordKind::Minterms, "mt|k").is_none());
         assert_eq!(cache.lookup(RecordKind::Transition, "tr|k"), None);
         assert_eq!(cache.lookup(RecordKind::Subsumption, "sub|k"), None);
     }
@@ -1273,11 +1253,11 @@ mod tests {
         write_store_with_retired_kinds(&path);
         let before = MemoStore::inspect(&path).unwrap();
         assert_eq!((before.transitions, before.subsumption), (2, 1));
-        assert_eq!(before.live(), 4);
+        assert_eq!((before.live(), before.torn_segments), (0, 4));
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
             assert!(!cache.degraded());
-            assert_serves_only_persisted_kinds(&cache);
+            assert_serves_nothing(&cache);
             let manifest = cache.manifest().unwrap();
             assert_eq!(manifest.segments.len(), 4);
             assert!(manifest.segments.iter().all(|s| s.kind.is_persisted()));
@@ -1296,7 +1276,7 @@ mod tests {
         );
         let after = MemoStore::inspect(&path).unwrap();
         assert_eq!((after.transitions, after.subsumption), (0, 0));
-        assert_eq!((after.live(), after.dead()), (4, 0));
+        assert_eq!((after.live(), after.torn_segments), (0, 4));
         cleanup(&path);
     }
 
@@ -1310,7 +1290,7 @@ mod tests {
         let before = store_files(&path);
         let cache = MemoStore::with_disk_log(&path).unwrap();
         assert!(cache.degraded());
-        assert_serves_only_persisted_kinds(&cache);
+        assert_serves_nothing(&cache);
         drop(cache);
         assert_eq!(
             store_files(&path),

@@ -437,40 +437,6 @@ pub fn shape_key(a: &Sfa, b: &Sfa, alphabet: &[Minterm], max_states: usize) -> S
     key
 }
 
-/// Canonicalises one simulation-subsumption verdict `L(a) ⊆ L(b)` over a pruned group
-/// alphabet, following [`shape_key`]'s construction (one shared renamer, α-normal
-/// residuals, signed minterm assignments) and its axiom-independence argument: the
-/// simulation fixpoint only chases transition rows, each resolved by evaluating a
-/// qualifier of `a`/`b` (or of a derivative, whose qualifiers are subterms) under a
-/// minterm assignment that is part of this key. No state bound is included — the
-/// verdict is a semantic fact about the residual pair, not about any walk's budget.
-/// (The inclusion checker refuses to store when an SMT fallback fired, and the walk
-/// refuses to store pessimistic verdicts that depend on which rows happen to exist.)
-pub fn subsumption_key(a: &Sfa, b: &Sfa, alphabet: &[Minterm]) -> String {
-    let mut renamer = Renamer {
-        env: BTreeMap::new(),
-        free: BTreeMap::new(),
-        out_vars: Vec::new(),
-        binders: 0,
-    };
-    let mut bound = Vec::new();
-    let mut key = String::with_capacity(512);
-    key.push_str("subsume|");
-    ser_sfa(&mut renamer, &a.alpha_normal(), &mut bound, &mut key);
-    key.push('|');
-    ser_sfa(&mut renamer, &b.alpha_normal(), &mut bound, &mut key);
-    key.push('|');
-    for m in alphabet {
-        key.push('m');
-        ser_name(&m.op, &mut key);
-        for (atom, value) in &m.assignment {
-            ser_atom(&renamer.atom(atom, &bound), &mut key);
-            key.push(if *value { '1' } else { '0' });
-        }
-    }
-    key
-}
-
 /// The canonical key of one [`MemoQuery`], together with the renaming needed to
 /// transport a stored value back into the query's own variable names (for the kinds
 /// whose values contain variables).
@@ -479,8 +445,8 @@ pub fn subsumption_key(a: &Sfa, b: &Sfa, alphabet: &[Minterm]) -> String {
 /// [`hat_sfa::SolverOracle`] to the per-kind key constructors of this module; the
 /// axiom-fingerprint discipline (prefix [`Minterms`](CanonicalMemoKey::Minterms) and
 /// [`Inclusion`](CanonicalMemoKey::Inclusion) keys, never
-/// [`Shape`](CanonicalMemoKey::Shape) or [`Subsumption`](CanonicalMemoKey::Subsumption)
-/// ones) is applied by the caller, which knows its axiom set.
+/// [`Shape`](CanonicalMemoKey::Shape) ones) is applied by the caller, which knows its
+/// axiom set.
 #[derive(Debug, Clone)]
 pub enum CanonicalMemoKey {
     /// An [`alphabet_key`] (axiom-dependent: prefix before sharing).
@@ -489,8 +455,6 @@ pub enum CanonicalMemoKey {
     Inclusion(String),
     /// A [`shape_key`] (axiom-independent by construction).
     Shape(String),
-    /// A [`subsumption_key`] (axiom-independent by construction).
-    Subsumption(String),
 }
 
 impl CanonicalMemoKey {
@@ -498,9 +462,7 @@ impl CanonicalMemoKey {
     pub(crate) fn key(&self) -> &str {
         match self {
             CanonicalMemoKey::Minterms(alphabet) => &alphabet.key,
-            CanonicalMemoKey::Inclusion(key)
-            | CanonicalMemoKey::Shape(key)
-            | CanonicalMemoKey::Subsumption(key) => key,
+            CanonicalMemoKey::Inclusion(key) | CanonicalMemoKey::Shape(key) => key,
         }
     }
 
@@ -535,9 +497,6 @@ pub fn memo_key(query: &MemoQuery) -> CanonicalMemoKey {
             alphabet,
             max_states,
         } => CanonicalMemoKey::Shape(shape_key(a, b, alphabet, *max_states)),
-        MemoQuery::Subsumption { a, b, alphabet } => {
-            CanonicalMemoKey::Subsumption(subsumption_key(a, b, alphabet))
-        }
     }
 }
 

@@ -29,15 +29,14 @@
 //!
 //! ## Memo hierarchy
 //!
-//! Beyond the per-query cache, whole units of work are memoised at four higher levels
+//! Beyond the per-query cache, whole units of work are memoised at three higher levels
 //! through the single typed [`hat_sfa::MemoQuery`] interface, all keyed α-canonically
 //! (see [`canon::memo_key`] and `docs/ARCHITECTURE.md` for the hierarchy diagram):
-//! minterm sets (whole alphabet transformations), DFA transitions
-//! (`state × answers → successor`), per-group *DFA shapes* (one product walk over an
-//! (automaton pair, pruned alphabet) — shared across benchmarks, no axiom fingerprint)
-//! and whole inclusion checks. A hit at an outer level skips every inner level, which
-//! is why the disk store keeps only the levels a warm run reads: transitions and
-//! subsumption verdicts live and die with the process.
+//! minterm sets (whole alphabet transformations), per-group *DFA shapes* (one product
+//! walk over an (automaton pair, pruned alphabet) — shared across benchmarks, no axiom
+//! fingerprint) and whole inclusion checks. A hit at an outer level skips every inner
+//! level. Nothing beneath the walk is memoised: each walk derives in its own residual
+//! arena.
 //!
 //! ## Disk store (LSM)
 //!

@@ -266,16 +266,17 @@ pub fn segment_dir_for(log_path: &Path) -> PathBuf {
 pub struct SegmentScan {
     /// The record lines, in file order. Empty when the segment is torn.
     pub lines: Vec<String>,
-    /// Set when the file is missing or not UTF-8, its header is wrong, its body fails
-    /// the header's checksum, or its line count does not match the header — the whole
-    /// segment degrades to cold rather than being half trusted.
+    /// Set when the file is missing or not UTF-8, its header is wrong or has no
+    /// checksum, its body fails the header's checksum, or its line count does not
+    /// match the header — the whole segment degrades to cold rather than being half
+    /// trusted.
     pub torn: bool,
 }
 
 /// Reads a segment file. Never errors: any malformation marks the scan torn. The
 /// checksum is the [`fingerprint`] of the body (every byte after the header line),
-/// in hex; a segment written before segments carried one has a three-field header and
-/// is read unchecked.
+/// in hex. A segment written before segments carried one has a three-field header;
+/// nothing vouches for its body, so it reads as torn too.
 pub fn read_segment(dir: &Path, meta: &SegmentMeta) -> SegmentScan {
     let torn = SegmentScan {
         lines: Vec::new(),
@@ -289,13 +290,11 @@ pub fn read_segment(dir: &Path, meta: &SegmentMeta) -> SegmentScan {
     let header_ok = fields.next() == Some(SEGMENT_HEADER_V6)
         && fields.next().and_then(RecordKind::from_tag) == Some(meta.kind)
         && fields.next().and_then(|n| n.parse::<usize>().ok()) == Some(meta.records)
-        && match fields.next() {
-            None => true,
-            Some(sum) => {
-                fields.next().is_none()
-                    && u64::from_str_radix(sum, 16).ok() == Some(fingerprint(body))
-            }
-        };
+        && fields
+            .next()
+            .and_then(|sum| u64::from_str_radix(sum, 16).ok())
+            == Some(fingerprint(body))
+        && fields.next().is_none();
     let lines: Vec<String> = body.lines().map(str::to_string).collect();
     if !header_ok || lines.len() != meta.records {
         return torn;
@@ -955,9 +954,12 @@ mod tests {
         // Same length, same line count, well-formed record: only the checksum can tell.
         fs::write(&file, contents.replace("S1\tk0", "S0\tk0")).expect("writable");
         assert!(read_segment(&dir, &meta).torn);
-        // A segment written before segments carried a checksum is read unchecked.
+        // A segment written before segments carried a checksum has nothing to vouch
+        // for its body, so it is torn too, intact or not.
         fs::write(&file, "hat-engine-segment v6\tS\t1\nS0\tk0\n").expect("writable");
-        assert_eq!(read_segment(&dir, &meta).lines, vec!["S0\tk0".to_string()]);
+        assert!(read_segment(&dir, &meta).torn);
+        fs::write(&file, contents).expect("writable");
+        assert_eq!(read_segment(&dir, &meta).lines, vec!["S1\tk0".to_string()]);
         cleanup(&path);
     }
 

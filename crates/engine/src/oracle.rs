@@ -7,9 +7,8 @@
 //! tier by tier: the worker's lock-free [`LocalTier`] first (when one is attached), then
 //! the shared sharded tier of the [`MemoStore`], promoting shared hits into the local
 //! tier on the way back so the next lookup of the same key touches no lock. The whole
-//! memo hierarchy above the solver cache — minterm sets, inclusion verdicts, DFA shapes,
-//! subsumption verdicts — flows through the same two methods via the
-//! single typed [`SolverOracle::memo_lookup`]/[`SolverOracle::memo_store`] interface,
+//! memo hierarchy above the solver cache — minterm sets, inclusion verdicts, DFA
+//! shapes — flows through the same two methods via the single typed [`SolverOracle::memo_lookup`]/[`SolverOracle::memo_store`] interface,
 //! keyed by [`crate::canon::memo_key`].
 //!
 //! On a miss the *canonical* form is handed to the worker's own [`Solver`], so the
@@ -130,11 +129,10 @@ impl CachingOracle {
     }
 
     /// The store key of a canonical memo key. Axiom-dependent kinds (minterm sets,
-    /// inclusion verdicts) carry this oracle's axiom prefix; shapes and subsumption
-    /// verdicts are pure syntactic functions of data inside the key, so
-    /// α-equal ones are shared across benchmarks with different axiom sets (the checker
-    /// refuses to store a shape or subsumption verdict if a context-dependent SMT
-    /// fallback ever fired).
+    /// inclusion verdicts) carry this oracle's axiom prefix; shapes are pure syntactic
+    /// functions of data inside the key, so α-equal ones are shared across benchmarks
+    /// with different axiom sets (the checker refuses to store a shape verdict if a
+    /// context-dependent SMT fallback fired during its walk).
     fn store_key<'k>(&self, canonical: &'k CanonicalMemoKey) -> Cow<'k, str> {
         if canonical.axiom_dependent() {
             Cow::Owned(format!("{}{}", self.key_prefix, canonical.key()))
@@ -176,9 +174,7 @@ fn from_canonical(canonical: &CanonicalMemoKey, value: MemoValue) -> Option<Memo
             MemoAnswer::Minterms(Cow::Owned(alphabet.from_canonical(&set)))
         }
         (
-            CanonicalMemoKey::Inclusion(_)
-            | CanonicalMemoKey::Shape(_)
-            | CanonicalMemoKey::Subsumption(_),
+            CanonicalMemoKey::Inclusion(_) | CanonicalMemoKey::Shape(_),
             MemoValue::Verdict(verdict),
         ) => MemoAnswer::Verdict(verdict),
         _ => return None,
@@ -193,9 +189,7 @@ fn to_canonical(canonical: &CanonicalMemoKey, answer: &MemoAnswer) -> Option<Mem
             alphabet.to_canonical(set).into()
         }
         (
-            CanonicalMemoKey::Inclusion(_)
-            | CanonicalMemoKey::Shape(_)
-            | CanonicalMemoKey::Subsumption(_),
+            CanonicalMemoKey::Inclusion(_) | CanonicalMemoKey::Shape(_),
             MemoAnswer::Verdict(verdict),
         ) => MemoValue::Verdict(*verdict),
         _ => return None,

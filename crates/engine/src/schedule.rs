@@ -73,10 +73,8 @@ pub struct EngineConfig {
     /// default; the materialising DFA-pair path is kept for differential testing and
     /// measurement — both paths are verdict-identical).
     pub inclusion: InclusionMode,
-    /// How aggressively the on-the-fly product walk prunes its frontier by antichain
-    /// subsumption (memoised simulation by default; the syntactic tier and the
-    /// unpruned walk are kept for differential testing and measurement — all three are
-    /// verdict-identical, see [`hat_sfa::SubsumptionMode`]).
+    /// Retired: the product walk never prunes its frontier (see
+    /// [`hat_sfa::SubsumptionMode`]).
     pub subsume: SubsumptionMode,
     /// Whether each worker fronts the shared store with a lock-free local read-through
     /// tier (on by default; the shared-only path is kept as the lock-traffic measurement
@@ -506,7 +504,6 @@ impl JobPool {
         checker.inclusion.enumeration = config.enumeration;
         checker.inclusion.prune = config.prune;
         checker.inclusion.mode = config.inclusion;
-        checker.inclusion.subsume = config.subsume;
         checker
             .check_method(&method.sig, &method.body)
             .map_err(|e| {

@@ -1,7 +1,7 @@
 //! The tiers of the memo hierarchy.
 //!
 //! Every record kind of the [`crate::cache::MemoStore`] — solver verdicts, inclusion
-//! verdicts, DFA shapes, minterm sets, transitions, subsumption verdicts — is served by
+//! verdicts, DFA shapes, minterm sets — is served by
 //! the same three-level tier stack, instantiated once per kind:
 //!
 //! 1. a **local tier** ([`LocalMap`], grouped per worker in [`LocalTier`]): a plain

@@ -207,9 +207,7 @@ fn background_flush_and_compaction_take_no_tier_locks() {
         warm.cache.misses, 0,
         "every solver query of the warm run must be served from the segments"
     );
-    // The outer memo levels (inclusion, shape) answer a warm run before the product
-    // walk, which is why subsumption verdicts are never written (and transitions are
-    // memoised nowhere).
+    // Transitions and subsumption verdicts are memoised nowhere, so no run writes them.
     let stored = MemoStore::inspect(&busy_path).expect("inspect");
     assert_eq!(
         (stored.transitions, stored.subsumption),

@@ -6,8 +6,8 @@
 //! 1. **sorting** — the generator's well-sortedness promise (`⊢s`),
 //! 2. **checker** — a plain [`hat_core::Checker`] with no engine around it,
 //! 3. **engine** — one [`EngineConfig`] knob combination per configuration, rotating
-//!    through the full `jobs × prune × inclusion × subsume × enumeration ×
-//!    local-tiers` cross (96 combinations) so a long run exercises every cell while
+//!    through the full `jobs × prune × inclusion × enumeration × local-tiers` cross
+//!    (32 combinations) so a long run exercises every cell while
 //!    each configuration stays cheap; engines persist across configurations, so the
 //!    shared memo tiers accumulate exactly as they would in a long-lived daemon,
 //! 4. **warm** — an immediate resubmission of the same configuration to the same
@@ -28,7 +28,7 @@ use crate::spec::GenSpec;
 use crate::well_sorted;
 use hat_core::MethodReport;
 use hat_engine::{Engine, EngineConfig};
-use hat_sfa::{EnumerationMode, InclusionMode, SubsumptionMode};
+use hat_sfa::{EnumerationMode, InclusionMode};
 use hat_suite::Benchmark;
 use std::fmt;
 use std::path::PathBuf;
@@ -107,10 +107,10 @@ pub fn checker_disagreements(bench: &Benchmark) -> Vec<Disagreement> {
     disagreements_in("checker", bench, &reports)
 }
 
-/// The full `jobs × prune × inclusion × subsume × enumeration × local-tiers` knob
-/// cross (96 combinations). `cache_path` attaches the LSM disk store to the first
+/// The full `jobs × prune × inclusion × enumeration × local-tiers` knob cross (32
+/// combinations). `cache_path` attaches the LSM disk store to the first
 /// (all-defaults) combination only — the store's sidecar lock is single-writer per
-/// path, so giving it to every combination would just make 95 engines degrade to
+/// path, so giving it to every combination would just make 31 engines degrade to
 /// memory with a warning each.
 pub fn full_matrix(cache_path: Option<&PathBuf>) -> Vec<(String, EngineConfig)> {
     let mut cache_path = cache_path.cloned();
@@ -118,47 +118,39 @@ pub fn full_matrix(cache_path: Option<&PathBuf>) -> Vec<(String, EngineConfig)> 
     for jobs in [1usize, 6] {
         for prune in [true, false] {
             for inclusion in [InclusionMode::OnTheFly, InclusionMode::Materialise] {
-                for subsume in [
-                    SubsumptionMode::Simulation,
-                    SubsumptionMode::Syntactic,
-                    SubsumptionMode::Off,
-                ] {
-                    for enumeration in [EnumerationMode::Incremental, EnumerationMode::Naive] {
-                        for local_tiers in [true, false] {
-                            let label = format!(
-                                "jobs={jobs} prune={} inclusion={} subsume={} enum={} \
-                                 local-tiers={}",
-                                if prune { "on" } else { "off" },
-                                match inclusion {
-                                    InclusionMode::OnTheFly => "onthefly",
-                                    InclusionMode::Materialise => "materialise",
-                                },
-                                subsume.as_str(),
-                                match enumeration {
-                                    EnumerationMode::Incremental => "incremental",
-                                    EnumerationMode::Naive => "naive",
-                                },
-                                if local_tiers { "on" } else { "off" },
-                            );
-                            let cache_path = cache_path.take();
-                            let label = if cache_path.is_some() {
-                                format!("{label} lsm=on")
-                            } else {
-                                label
-                            };
-                            out.push((
-                                label,
-                                EngineConfig {
-                                    jobs,
-                                    cache_path,
-                                    enumeration,
-                                    prune,
-                                    inclusion,
-                                    subsume,
-                                    local_tiers,
-                                },
-                            ));
-                        }
+                for enumeration in [EnumerationMode::Incremental, EnumerationMode::Naive] {
+                    for local_tiers in [true, false] {
+                        let label = format!(
+                            "jobs={jobs} prune={} inclusion={} enum={} local-tiers={}",
+                            if prune { "on" } else { "off" },
+                            match inclusion {
+                                InclusionMode::OnTheFly => "onthefly",
+                                InclusionMode::Materialise => "materialise",
+                            },
+                            match enumeration {
+                                EnumerationMode::Incremental => "incremental",
+                                EnumerationMode::Naive => "naive",
+                            },
+                            if local_tiers { "on" } else { "off" },
+                        );
+                        let cache_path = cache_path.take();
+                        let label = if cache_path.is_some() {
+                            format!("{label} lsm=on")
+                        } else {
+                            label
+                        };
+                        out.push((
+                            label,
+                            EngineConfig {
+                                jobs,
+                                cache_path,
+                                enumeration,
+                                prune,
+                                inclusion,
+                                local_tiers,
+                                ..EngineConfig::default()
+                            },
+                        ));
                     }
                 }
             }
@@ -168,21 +160,12 @@ pub fn full_matrix(cache_path: Option<&PathBuf>) -> Vec<(String, EngineConfig)> 
 }
 
 /// The satellite-test core matrix: `jobs {1,6} × prune × inclusion` (8 combinations),
-/// with default subsumption, enumeration and local tiers.
+/// with default enumeration and local tiers.
 pub fn core_matrix(cache_path: Option<&PathBuf>) -> Vec<(String, EngineConfig)> {
     full_matrix(cache_path)
         .into_iter()
-        .filter(|(l, _)| {
-            l.contains("subsume=simulation")
-                && l.contains("enum=incremental")
-                && l.contains("local-tiers=on")
-        })
-        .map(|(l, c)| {
-            (
-                l.replace(" subsume=simulation enum=incremental local-tiers=on", ""),
-                c,
-            )
-        })
+        .filter(|(l, _)| l.contains("enum=incremental") && l.contains("local-tiers=on"))
+        .map(|(l, c)| (l.replace(" enum=incremental local-tiers=on", ""), c))
         .collect()
 }
 
@@ -356,22 +339,12 @@ mod tests {
 
     #[test]
     fn matrices_have_the_advertised_sizes() {
-        assert_eq!(full_matrix(None).len(), 96);
-        let modes: std::collections::HashSet<_> = full_matrix(None)
-            .iter()
-            .map(|(_, c)| c.subsume.as_str())
-            .collect();
-        assert_eq!(
-            modes.len(),
-            3,
-            "all three subsumption modes are in the cross"
-        );
+        assert_eq!(full_matrix(None).len(), 32);
         let core = core_matrix(None);
         assert_eq!(core.len(), 8);
         for (label, c) in &core {
             assert!(c.local_tiers, "{label}");
             assert_eq!(c.enumeration, EnumerationMode::Incremental, "{label}");
-            assert_eq!(c.subsume, SubsumptionMode::Simulation, "{label}");
         }
     }
 

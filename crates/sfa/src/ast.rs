@@ -228,7 +228,8 @@ impl Sfa {
         }
     }
 
-    /// Intersection (flattening, absorbing `Zero` and the universe).
+    /// Intersection (flattening, absorbing `Zero` and the universe, and closed under
+    /// absorption: `x ∧ (x ∨ y) = x` and `x ∧ (y ∨ (x ∧ z)) = x ∧ (y ∨ z)`).
     pub fn and(parts: Vec<Sfa>) -> Sfa {
         let mut out: Vec<Sfa> = Vec::new();
         for p in parts {
@@ -241,6 +242,9 @@ impl Sfa {
         }
         out.sort();
         out.dedup();
+        if let Some(absorbed) = absorb(&out, false) {
+            return Sfa::and(absorbed);
+        }
         match out.len() {
             0 => Sfa::universe(),
             1 => out.into_iter().next().expect("len checked"),
@@ -248,7 +252,12 @@ impl Sfa {
         }
     }
 
-    /// Union (flattening, absorbing `Zero` and the universe).
+    /// Union (flattening, absorbing `Zero` and the universe, and closed under
+    /// absorption: `x ∨ (x ∧ y) = x` and `x ∨ (y ∧ (x ∨ z)) = x ∨ (y ∧ z)`).
+    ///
+    /// The absorption rules are what keep Brzozowski derivatives finite here: until's
+    /// derivative `dy ∨ (dx ∧ (x U y))` nests one level deeper per step unless the
+    /// disjuncts it repeats are absorbed (Brzozowski, JACM 1964, "similarity").
     pub fn or(parts: Vec<Sfa>) -> Sfa {
         let mut out: Vec<Sfa> = Vec::new();
         for p in parts {
@@ -261,6 +270,9 @@ impl Sfa {
         }
         out.sort();
         out.dedup();
+        if let Some(absorbed) = absorb(&out, true) {
+            return Sfa::or(absorbed);
+        }
         match out.len() {
             0 => Sfa::Zero,
             1 => out.into_iter().next().expect("len checked"),
@@ -434,8 +446,8 @@ impl Sfa {
     /// node depends only on the normal forms of its children — so it is idempotent, and
     /// two automata that differ only in event binder spellings normalise to equal values.
     /// The residual arena of the DFA construction ([`crate::residual::Residuals`])
-    /// interns every state in this form, so a residual it materialises is exactly the
-    /// tree the subsumption order and the shape and subsumption memo keys read.
+    /// interns every state in this form, so two residuals get one id exactly when
+    /// their α-normal trees are equal.
     ///
     /// ```
     /// use hat_logic::{Formula, Term};
@@ -549,6 +561,69 @@ impl Sfa {
     }
 }
 
+/// The operands of `a` when it is a union (`union`) or an intersection (`!union`).
+fn junction(a: &Sfa, union: bool) -> Option<&[Sfa]> {
+    match (a, union) {
+        (Sfa::Or(parts), true) | (Sfa::And(parts), false) => Some(parts),
+        _ => None,
+    }
+}
+
+/// One absorption step over the sorted, deduplicated operands of a union (`union`) or
+/// an intersection (`!union`), or `None` when no rule applies. Writing `∨` for the
+/// outer connective and `∧` for its dual: an operand `x ∧ y` one of whose parts is an
+/// operand goes (`x ∨ (x ∧ y) = x`), and inside an operand `y ∧ (x ∨ z)` the nested
+/// `∨` loses every operand the outer one has (`x ∨ (y ∧ (x ∨ z)) = x ∨ (y ∧ z)`).
+/// Both rules read only the operand set, so the result does not depend on its order;
+/// [`crate::residual::Residuals`] applies the same step to ids.
+fn absorb(operands: &[Sfa], union: bool) -> Option<Vec<Sfa>> {
+    let first = operands
+        .iter()
+        .position(|op| absorb_operand(op, operands, union).is_some())?;
+    let mut out = operands[..first].to_vec();
+    for op in &operands[first..] {
+        match absorb_operand(op, operands, union) {
+            None => out.push(op.clone()),
+            Some(rewritten) => out.extend(rewritten),
+        }
+    }
+    Some(out)
+}
+
+/// The rewrite of one operand by [`absorb`]: `None` when no rule applies, `Some(None)`
+/// when it goes, `Some(Some(x))` when it becomes `x`.
+fn absorb_operand(op: &Sfa, operands: &[Sfa], union: bool) -> Option<Option<Sfa>> {
+    let junct = |parts: Vec<Sfa>, union: bool| {
+        if union {
+            Sfa::or(parts)
+        } else {
+            Sfa::and(parts)
+        }
+    };
+    let outer = |x: &Sfa| operands.binary_search(x).is_ok();
+    let parts = junction(op, !union)?;
+    if parts.iter().any(outer) {
+        return Some(None);
+    }
+    if !parts
+        .iter()
+        .any(|p| junction(p, union).is_some_and(|nested| nested.iter().any(outer)))
+    {
+        return None;
+    }
+    let parts = parts
+        .iter()
+        .map(|p| match junction(p, union) {
+            Some(nested) if nested.iter().any(outer) => junct(
+                nested.iter().filter(|n| !outer(n)).cloned().collect(),
+                union,
+            ),
+            _ => p.clone(),
+        })
+        .collect();
+    Some(Some(junct(parts, !union)))
+}
+
 impl fmt::Display for Sfa {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -619,6 +694,60 @@ mod tests {
             Sfa::Or(parts) => assert_eq!(parts.len(), 2),
             other => panic!("expected Or, got {other}"),
         }
+    }
+
+    /// Three distinct leaves for the absorption identities.
+    fn xyz() -> (Sfa, Sfa, Sfa) {
+        let guard = |name: &str| Sfa::guard(Formula::pred(name, vec![Term::var("p")]));
+        (guard("x"), guard("y"), guard("z"))
+    }
+
+    #[test]
+    fn unions_absorb_conjunctions_of_their_disjuncts() {
+        let (x, y, z) = xyz();
+        // x ∨ (x ∧ y) = x
+        assert_eq!(
+            Sfa::or(vec![x.clone(), Sfa::and(vec![x.clone(), y.clone()])]),
+            x
+        );
+        // x ∨ (y ∧ (x ∨ z)) = x ∨ (y ∧ z)
+        assert_eq!(
+            Sfa::or(vec![
+                x.clone(),
+                Sfa::and(vec![y.clone(), Sfa::or(vec![x.clone(), z.clone()])]),
+            ]),
+            Sfa::or(vec![x.clone(), Sfa::and(vec![y.clone(), z.clone()])]),
+        );
+        // The stripped union empties: x ∨ z ∨ (y ∧ (x ∨ z)) = x ∨ z.
+        let x_or_z = Sfa::or(vec![x.clone(), z.clone()]);
+        assert_eq!(
+            Sfa::or(vec![x_or_z.clone(), Sfa::and(vec![y, x_or_z.clone()])]),
+            x_or_z
+        );
+    }
+
+    #[test]
+    fn intersections_absorb_disjunctions_of_their_conjuncts() {
+        let (x, y, z) = xyz();
+        // x ∧ (x ∨ y) = x
+        assert_eq!(
+            Sfa::and(vec![x.clone(), Sfa::or(vec![x.clone(), y.clone()])]),
+            x
+        );
+        // x ∧ (y ∨ (x ∧ z)) = x ∧ (y ∨ z)
+        assert_eq!(
+            Sfa::and(vec![
+                x.clone(),
+                Sfa::or(vec![y.clone(), Sfa::and(vec![x.clone(), z.clone()])]),
+            ]),
+            Sfa::and(vec![x.clone(), Sfa::or(vec![y.clone(), z.clone()])]),
+        );
+        // The stripped intersection empties: x ∧ z ∧ (y ∨ (x ∧ z)) = x ∧ z.
+        let x_and_z = Sfa::and(vec![x.clone(), z.clone()]);
+        assert_eq!(
+            Sfa::and(vec![x_and_z.clone(), Sfa::or(vec![y, x_and_z.clone()])]),
+            x_and_z
+        );
     }
 
     #[test]

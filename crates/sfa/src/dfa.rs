@@ -14,17 +14,16 @@
 //!
 //! Both derive in a hash-consed arena of residual states ([`crate::residual`]), one per
 //! walk or build: a state is a `u32` id, a successor is derived once per (node, symbol),
-//! and nothing outlives the walk. Each discovered state is materialised as an α-normal
-//! [`Sfa`] once, for the subsumption order and its memo keys. The tree [`derivative`]
-//! is the reference the arena is tested against.
+//! and nothing outlives the walk. The smart constructors close residual sets under
+//! Boolean absorption ([`Sfa::or`]), so a state is never materialised as a tree: the
+//! walk compares ids only. The tree [`derivative`] is the reference the arena is tested
+//! against.
 
 use crate::ast::{Sfa, SymbolicEvent};
 use crate::minterm::Minterm;
 use crate::residual::{Residuals, StateId};
-use crate::stats::CheckStats;
-use crate::subsume::{Subsumer, SubsumptionMode};
 use hat_logic::Formula;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
 /// Decides whether a minterm (an equivalence class of concrete events) is covered by a
@@ -34,24 +33,6 @@ pub trait TransitionOracle {
     fn event_matches(&mut self, e: &SymbolicEvent, m: &Minterm) -> bool;
     /// Does the (event-independent) guard `phi` hold under the minterm's context valuation?
     fn guard_holds(&mut self, phi: &Formula, m: &Minterm) -> bool;
-
-    /// Looks up a memoised simulation verdict `L(a) ⊆ L(b)` over `alphabet` (see
-    /// [`crate::subsume`]). The verdict is a semantic fact about the α-renamed
-    /// (residual pair, alphabet), so implementations can key a run-wide memo on exactly
-    /// that data. `None` (the default) makes the walk compute the fixpoint locally.
-    fn subsumption_lookup(&mut self, a: &Sfa, b: &Sfa, alphabet: &[Minterm]) -> Option<bool> {
-        let _ = (a, b, alphabet);
-        None
-    }
-
-    /// Persists a definite simulation verdict for later
-    /// [`TransitionOracle::subsumption_lookup`]s. Implementations must refuse to store
-    /// when a context-dependent SMT fallback fired during the surrounding walk (the
-    /// `shape_key` discipline): the rows the verdict was computed from would no longer
-    /// be a pure function of the key.
-    fn subsumption_store(&mut self, a: &Sfa, b: &Sfa, alphabet: &[Minterm], verdict: bool) {
-        let _ = (a, b, alphabet, verdict);
-    }
 }
 
 /// Errors raised while constructing a DFA.
@@ -76,8 +57,6 @@ impl std::error::Error for DfaBuildError {}
 /// A complete DFA over a finite minterm alphabet. State 0 is the initial state.
 #[derive(Debug, Clone)]
 pub struct Dfa {
-    /// The formula labelling each state (its residual language).
-    pub states: Vec<Sfa>,
     /// Whether each state accepts (i.e. its residual language contains the empty trace).
     pub accepting: Vec<bool>,
     /// `transitions[s][c]` is the successor of state `s` on alphabet symbol `c`.
@@ -143,20 +122,18 @@ pub fn derivative(a: &Sfa, m: &Minterm, oracle: &mut dyn TransitionOracle) -> Sf
 }
 
 /// One side of the lazy product walk: the residual states discovered so far, as arena
-/// ids and materialised, and their transition rows, filled only when the product
-/// frontier first visits a state.
+/// ids, and their transition rows, filled only when the product frontier first visits
+/// a state.
 struct LazySide {
     ids: Vec<StateId>,
-    states: Vec<Sfa>,
     index: HashMap<StateId, usize>,
     rows: Vec<Option<Vec<usize>>>,
 }
 
 impl LazySide {
-    fn new(start: StateId, residuals: &Residuals) -> LazySide {
+    fn new(start: StateId) -> LazySide {
         LazySide {
             ids: vec![start],
-            states: vec![residuals.to_sfa(start)],
             index: HashMap::from([(start, 0)]),
             rows: vec![None],
         }
@@ -178,20 +155,15 @@ impl LazySide {
         let row = (0..residuals.alphabet().len())
             .map(|symbol| {
                 let d = residuals.derive(self.ids[s], symbol, oracle);
-                self.state_of(d, residuals, max_states)
+                self.state_of(d, max_states)
             })
             .collect::<Result<Vec<usize>, DfaBuildError>>()?;
         self.rows[s] = Some(row);
         Ok(())
     }
 
-    /// The index of residual `id`, discovering (and materialising) it when new.
-    fn state_of(
-        &mut self,
-        id: StateId,
-        residuals: &Residuals,
-        max_states: usize,
-    ) -> Result<usize, DfaBuildError> {
+    /// The index of residual `id`, discovering it when new.
+    fn state_of(&mut self, id: StateId, max_states: usize) -> Result<usize, DfaBuildError> {
         if let Some(&t) = self.index.get(&id) {
             return Ok(t);
         }
@@ -200,7 +172,6 @@ impl LazySide {
             return Err(DfaBuildError::TooManyStates(max_states));
         }
         self.ids.push(id);
-        self.states.push(residuals.to_sfa(id));
         self.index.insert(id, t);
         self.rows.push(None);
         Ok(t)
@@ -238,11 +209,9 @@ pub struct ProductRun {
     pub left_transitions: usize,
     /// Transitions derived on `B`'s side.
     pub right_transitions: usize,
-    /// The walk's counters: `product_states` — distinct product states explored
-    /// (enqueued) before the walk finished or exited early, not counting pairs dropped
-    /// by subsumption, so under [`SubsumptionMode::Off`] exactly the distinct pairs
-    /// derived — and the subsumption counters. The other counters stay zero.
-    pub stats: CheckStats,
+    /// Distinct product states explored (enqueued) before the walk finished or exited
+    /// early.
+    pub product_states: usize,
 }
 
 /// Decides `L(a) ⊆ L(b)` over the minterm alphabet by on-the-fly emptiness of the
@@ -271,37 +240,11 @@ pub fn product_included(
     oracle: &mut dyn TransitionOracle,
     max_states: usize,
 ) -> Result<ProductRun, DfaBuildError> {
-    product_included_with(a, b, alphabet, oracle, max_states, SubsumptionMode::Off)
-}
-
-/// [`product_included`] with a configurable antichain subsumption order (see
-/// [`crate::subsume`]): the visited set is kept as an antichain of product pairs, and a
-/// newly-derived pair is dropped when a visited pair subsumes it — its A-residual
-/// language shrinks and its B-residual language grows, so exploring it cannot reveal a
-/// new counterexample. All modes are verdict-identical; subsumption only shrinks the
-/// explored pair set (and with it the rows that have to be derived). A subsumed
-/// accepting pair forces its (already enqueued) subsumer to be accepting, so early exit
-/// happens no later, and the pruned walk derives a subset of the unpruned walk's rows,
-/// so it can never hit a state bound the unpruned walk would not.
-pub fn product_included_with(
-    a: &Sfa,
-    b: &Sfa,
-    alphabet: &[Minterm],
-    oracle: &mut dyn TransitionOracle,
-    max_states: usize,
-    subsume: SubsumptionMode,
-) -> Result<ProductRun, DfaBuildError> {
     let mut residuals = Residuals::new(alphabet);
-    let (start_a, start_b) = (residuals.intern(a), residuals.intern(b));
-    let mut left = LazySide::new(start_a, &residuals);
-    let mut right = LazySide::new(start_b, &residuals);
-    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut antichain: Vec<(usize, usize)> = Vec::new();
-    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-    let mut subsumer = Subsumer::new(subsume);
-    seen.insert((0, 0));
-    antichain.push((0, 0));
-    queue.push_back((0, 0));
+    let mut left = LazySide::new(residuals.intern(a));
+    let mut right = LazySide::new(residuals.intern(b));
+    let mut seen: HashSet<(usize, usize)> = HashSet::from([(0, 0)]);
+    let mut queue: VecDeque<(usize, usize)> = VecDeque::from([(0, 0)]);
     let mut included = true;
     while let Some((sa, sb)) = queue.pop_front() {
         if residuals.nullable(left.ids[sa]) && !residuals.nullable(right.ids[sb]) {
@@ -311,24 +254,9 @@ pub fn product_included_with(
         left.ensure_row(sa, &mut residuals, oracle, max_states)?;
         right.ensure_row(sb, &mut residuals, oracle, max_states)?;
         for (&na, &nb) in left.row(sa).iter().zip(right.row(sb)) {
-            if !seen.insert((na, nb)) {
-                continue;
+            if seen.insert((na, nb)) {
+                queue.push_back((na, nb));
             }
-            if subsumer.subsumed(
-                na,
-                nb,
-                &antichain,
-                &left.states,
-                &left.rows,
-                &right.states,
-                &right.rows,
-                alphabet,
-                oracle,
-            ) {
-                continue;
-            }
-            antichain.push((na, nb));
-            queue.push_back((na, nb));
         }
     }
     Ok(ProductRun {
@@ -337,10 +265,7 @@ pub fn product_included_with(
         right_states: right.num_states(),
         left_transitions: left.num_transitions(),
         right_transitions: right.num_transitions(),
-        stats: CheckStats {
-            product_states: antichain.len(),
-            ..subsumer.stats
-        },
+        product_states: seen.len(),
     })
 }
 
@@ -353,8 +278,7 @@ impl Dfa {
         max_states: usize,
     ) -> Result<Dfa, DfaBuildError> {
         let mut residuals = Residuals::new(alphabet);
-        let start = residuals.intern(a);
-        let mut side = LazySide::new(start, &residuals);
+        let mut side = LazySide::new(residuals.intern(a));
         let mut s = 0;
         while s < side.num_states() {
             side.ensure_row(s, &mut residuals, oracle, max_states)?;
@@ -363,7 +287,6 @@ impl Dfa {
         let accepting = side.ids.iter().map(|&id| residuals.nullable(id)).collect();
         let transitions = side.rows.into_iter().flatten().collect();
         Ok(Dfa {
-            states: side.states,
             accepting,
             transitions,
         })
@@ -371,7 +294,7 @@ impl Dfa {
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.states.len()
+        self.accepting.len()
     }
 
     /// Number of transitions (states × alphabet symbols actually stored).

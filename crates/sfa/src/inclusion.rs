@@ -56,12 +56,11 @@
 //! ```
 
 use crate::ast::{OpSig, Sfa, SymbolicEvent};
-use crate::dfa::{product_included_with, Dfa, DfaBuildError, TransitionOracle};
+use crate::dfa::{product_included, Dfa, DfaBuildError, TransitionOracle};
 use crate::minterm::{
     arg_name, build_minterms_with, res_name, EnumerationMode, LiteralPool, Minterm, MintermSet,
 };
 use crate::stats::CheckStats;
-use crate::subsume::SubsumptionMode;
 use hat_logic::{Atom, Formula, Ident, ScopedSession, Sort};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -109,8 +108,9 @@ pub enum MemoKind {
     /// residual arena ([`crate::residual`]). It is kept only because the repository
     /// benchmark's helper names it, and leaves when that helper is rewritten.
     Transition,
-    /// One simulation-subsumption verdict `L(a) ⊆ L(b)` between two residual states
-    /// over a pruned group alphabet.
+    /// Antichain-subsumption verdicts between residual states. No query carries this
+    /// kind: the product walk is a plain breadth-first search. Kept, like
+    /// [`MemoKind::Transition`], only because the benchmark's helper names it.
     Subsumption,
 }
 
@@ -160,21 +160,6 @@ pub enum MemoQuery<'a> {
         /// The DFA state bound the walk ran under.
         max_states: usize,
     },
-    /// One simulation-subsumption verdict (answer: [`MemoAnswer::Verdict`]): whether
-    /// `L(a) ⊆ L(b)` over the pruned group alphabet, as certified (or definitely
-    /// refuted) by the simulation fixpoint. Like [`MemoQuery::Shape`], the verdict is a
-    /// semantic fact about the α-renamed (residual pair, alphabet) — transitions are
-    /// resolved propositionally from minterm assignments that are part of the key — so
-    /// it is shared across contexts and benchmarks with different axiom sets. Callers
-    /// only store when no context-dependent SMT fallback fired.
-    Subsumption {
-        /// The smaller residual.
-        a: &'a Sfa,
-        /// The larger residual.
-        b: &'a Sfa,
-        /// The (pruned) group alphabet the order is relative to.
-        alphabet: &'a [Minterm],
-    },
 }
 
 impl MemoQuery<'_> {
@@ -184,7 +169,6 @@ impl MemoQuery<'_> {
             MemoQuery::Minterms { .. } => MemoKind::Minterms,
             MemoQuery::Inclusion { .. } => MemoKind::Inclusion,
             MemoQuery::Shape { .. } => MemoKind::Shape,
-            MemoQuery::Subsumption { .. } => MemoKind::Subsumption,
         }
     }
 }
@@ -196,8 +180,7 @@ impl MemoQuery<'_> {
 /// values (`Cow::Owned`, renamed into the query's variable names by the oracle).
 #[derive(Debug, Clone)]
 pub enum MemoAnswer<'a> {
-    /// A boolean verdict ([`MemoKind::Inclusion`], [`MemoKind::Shape`] and
-    /// [`MemoKind::Subsumption`]).
+    /// A boolean verdict ([`MemoKind::Inclusion`] and [`MemoKind::Shape`]).
     Verdict(bool),
     /// A whole minterm set ([`MemoKind::Minterms`]).
     Minterms(Cow<'a, MintermSet>),
@@ -221,8 +204,7 @@ impl MemoAnswer<'_> {
 /// single typed memo interface ([`SolverOracle::memo_lookup`] /
 /// [`SolverOracle::memo_store`], with [`SolverOracle::memoises`] as the capability
 /// probe): one [`MemoQuery`] variant per record kind, uniformly for minterm sets,
-/// inclusion verdicts, per-group shapes and subsumption verdicts. The defaults memoise
-/// nothing.
+/// inclusion verdicts and per-group shapes. The defaults memoise nothing.
 pub trait SolverOracle {
     /// Is the conjunction of `facts` satisfiable, with `vars` as free constants?
     fn is_sat(&mut self, vars: &[(Ident, Sort)], facts: &[Formula]) -> bool;
@@ -423,31 +405,6 @@ impl TransitionOracle for MatchOracle<'_> {
         self.guard_cache.insert(key, result);
         result
     }
-
-    fn subsumption_lookup(&mut self, a: &Sfa, b: &Sfa, alphabet: &[Minterm]) -> Option<bool> {
-        if !self.oracle.memoises(MemoKind::Subsumption) {
-            return None;
-        }
-        let query = MemoQuery::Subsumption { a, b, alphabet };
-        self.oracle
-            .memo_lookup(&query)
-            .and_then(|ans| ans.verdict())
-    }
-
-    fn subsumption_store(&mut self, a: &Sfa, b: &Sfa, alphabet: &[Minterm], verdict: bool) {
-        if !self.oracle.memoises(MemoKind::Subsumption) {
-            return;
-        }
-        // The `shape_key` purity discipline: an SMT fallback anywhere in this check
-        // means transition rows may have consulted the typing context behind the key's
-        // back, so nothing computed from them is a pure function of its key.
-        if self.fallback_queries > 0 {
-            return;
-        }
-        let query = MemoQuery::Subsumption { a, b, alphabet };
-        self.oracle
-            .memo_store(&query, &MemoAnswer::Verdict(verdict));
-    }
 }
 
 /// How each per-group language-inclusion problem over the minterm alphabet is decided.
@@ -469,6 +426,18 @@ pub enum InclusionMode {
     /// Build both complete DFAs, then BFS their product (the paper-faithful baseline,
     /// kept for differential testing and measurement).
     Materialise,
+}
+
+/// Retired: the product walk used to prune its frontier by antichain subsumption. The
+/// absorption rules of [`Sfa::and`] and [`Sfa::or`] keep residual sets small enough
+/// for the plain breadth-first walk, so `Off` is the only value. The type stays only
+/// because the benchmark's helper sets [`InclusionChecker::subsume`], and leaves when
+/// that helper is rewritten.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SubsumptionMode {
+    /// Plain breadth-first search over exact pairs.
+    #[default]
+    Off,
 }
 
 /// The symbolic-automaton inclusion checker.
@@ -493,9 +462,7 @@ pub struct InclusionChecker {
     /// default; the materialising path is kept for differential testing and
     /// measurement).
     pub mode: InclusionMode,
-    /// How the on-the-fly walk prunes its frontier (antichain subsumption, see
-    /// [`crate::subsume`]; simulation by default, verdict-identical in every mode).
-    /// Ignored by [`InclusionMode::Materialise`], which is the unpruned baseline.
+    /// Retired: the walk never prunes its frontier (see [`SubsumptionMode`]).
     pub subsume: SubsumptionMode,
     /// Running totals of the counters inclusion checking owns (the oracle readings
     /// stay zero here; `fa_time` includes solver time).
@@ -604,15 +571,8 @@ impl InclusionChecker {
             let fallbacks_before = matcher.fallback_queries;
             let included = match self.mode {
                 InclusionMode::OnTheFly => {
-                    let run = product_included_with(
-                        a,
-                        b,
-                        &alphabet,
-                        &mut matcher,
-                        self.max_states,
-                        self.subsume,
-                    )?;
-                    self.stats += run.stats;
+                    let run = product_included(a, b, &alphabet, &mut matcher, self.max_states)?;
+                    self.stats.product_states += run.product_states;
                     self.stats.dfas_built += 2;
                     self.stats.dfa_states += run.left_states + run.right_states;
                     self.stats.dfa_transitions += run.left_transitions + run.right_transitions;
@@ -663,9 +623,8 @@ impl InclusionChecker {
 /// Three-valued evaluation of a formula under a (partial) truth assignment to its atoms:
 /// `Some(v)` when the assigned atoms determine the value, `None` when an unassigned atom
 /// (or a quantifier) leaves it open. Short-circuiting is sound: a falsified conjunct
-/// decides a conjunction even when siblings are undetermined. Shared with the
-/// subsumption order's leaf-support comparison ([`crate::subsume`]).
-pub(crate) fn eval_under(f: &Formula, assignment: &[(Atom, bool)]) -> Option<bool> {
+/// decides a conjunction even when siblings are undetermined.
+fn eval_under(f: &Formula, assignment: &[(Atom, bool)]) -> Option<bool> {
     match f {
         Formula::True => Some(true),
         Formula::False => Some(false),
@@ -904,6 +863,43 @@ mod tests {
         assert!(!checker
             .check(&ctx_plain, &only_zero, &not_ins_el, &mut solver)
             .unwrap());
+    }
+
+    #[test]
+    fn an_until_over_a_universe_headed_concatenation_closes() {
+        // Until's derivative `dy ∨ (dx ∧ (x U y))` nests one level deeper per step; only
+        // the absorption rules of the smart constructors keep these residuals finite.
+        let (el, lo) = (Term::var("el"), Term::var("lo"));
+        let tick_above_lo = Sfa::event(
+            "tick",
+            vec!["x".into()],
+            "v",
+            Formula::not(Formula::le(Term::var("x"), lo.clone())),
+        );
+        let inner = Sfa::until(
+            Sfa::and(vec![
+                Sfa::guard(Formula::eq(el.clone(), lo.clone())),
+                Sfa::guard(Formula::le(lo.clone(), el.clone())),
+            ]),
+            Sfa::concat(Sfa::universe(), tick_above_lo),
+        );
+        let a = Sfa::until(
+            inner,
+            Sfa::concat(Sfa::universe(), Sfa::guard(Formula::lt(el.clone(), el))),
+        );
+        let ops = vec![OpSig::new(
+            "tick",
+            vec![("x".into(), Sort::Int)],
+            Sort::Unit,
+        )];
+        let ctx = VarCtx::new(
+            vec![("el".into(), Sort::Int), ("lo".into(), Sort::Int)],
+            vec![],
+        );
+        let mut checker = InclusionChecker::new(ops);
+        let mut solver = Solver::default();
+        assert_eq!(checker.check(&ctx, &a, &Sfa::Zero, &mut solver), Ok(true));
+        assert!(checker.stats.product_states < 64, "{:?}", checker.stats);
     }
 
     #[test]

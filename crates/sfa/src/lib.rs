@@ -18,8 +18,7 @@
 //! * the language-inclusion check used by HAT subtyping ([`inclusion`]), which mirrors
 //!   Algorithm 1 of the paper (including its use of SMT queries to keep only satisfiable
 //!   minterms), deciding each per-group problem on the fly by default
-//!   ([`InclusionMode`]), with antichain subsumption pruning the product frontier
-//!   ([`SubsumptionMode`]),
+//!   ([`InclusionMode`]) by a plain breadth-first walk of the product,
 //! * the work-counter schema ([`stats`]): the [`counters!`] declaration macro and
 //!   [`CheckStats`], the per-method counters every consumer iterates.
 
@@ -31,15 +30,14 @@ pub mod inclusion;
 pub mod minterm;
 pub mod residual;
 pub mod stats;
-pub mod subsume;
 
 pub use accept::{accepts, TraceModel};
 pub use ast::{OpSig, Sfa, SymbolicEvent};
-pub use dfa::{product_included, product_included_with, Dfa, DfaBuildError, ProductRun};
+pub use dfa::{product_included, Dfa, DfaBuildError, ProductRun};
 pub use event::{Event, Trace};
 pub use inclusion::{
-    InclusionChecker, InclusionMode, MemoAnswer, MemoKind, MemoQuery, SolverOracle, VarCtx,
+    InclusionChecker, InclusionMode, MemoAnswer, MemoKind, MemoQuery, SolverOracle,
+    SubsumptionMode, VarCtx,
 };
 pub use minterm::{EnumerationMode, LiteralPool, Minterm, MintermSet};
 pub use stats::{CheckStats, Counter, CounterField, CounterMut};
-pub use subsume::SubsumptionMode;

@@ -13,13 +13,21 @@
 //! "Regular-expression derivatives re-examined", JFP'09; Saarikivi, Veanes, Wan and
 //! Xu, "Symbolic Regex Matcher", TACAS'19).
 //!
+//! Those rules include Boolean absorption: `x ∨ (x ∧ y) = x`,
+//! `x ∨ (y ∧ (x ∨ z)) = x ∨ (y ∧ z)` and their duals. Until's derivative
+//! `dy ∨ (dx ∧ (x U y))` nests one level deeper per step, and without absorption an
+//! until over a universe-headed concatenation can have unboundedly many residuals; with it,
+//! the residual set of every formula the differential tests draw is finite, so the
+//! product walk needs no pruning to terminate.
+//!
 //! The arena is bound to one alphabet. It resolves each event or guard leaf against
 //! each symbol once through the [`TransitionOracle`], memoises every derivative per
-//! (node, symbol) and stores nullability per node. [`Residuals::to_sfa`] materialises a
-//! node through the smart constructors: the result equals
+//! (node, symbol) and stores nullability per node. The walk never reads a state as a
+//! tree; [`Residuals::to_sfa`] materialises a node through the smart constructors for
+//! the differential test, where the result must equal
 //! `derivative(state, m).alpha_normal()` of the tree reference
-//! ([`crate::dfa::derivative`]), which `tests/derivative_differential.rs` enforces.
-//! Nothing outlives the arena: it is dropped with its walk.
+//! ([`crate::dfa::derivative`]) (`tests/derivative_differential.rs`). Nothing outlives
+//! the arena: it is dropped with its walk.
 //!
 //! [`Dfa::build`]: crate::dfa::Dfa::build
 
@@ -277,7 +285,8 @@ impl<'a> Residuals<'a> {
         }
     }
 
-    /// [`Sfa::and`] on ids: flattening, absorbing `∅` and the universe.
+    /// [`Sfa::and`] on ids: flattening, absorbing `∅` and the universe, closed under
+    /// absorption.
     fn and(&mut self, parts: Vec<StateId>) -> StateId {
         let mut out = Vec::with_capacity(parts.len());
         for p in parts {
@@ -290,6 +299,9 @@ impl<'a> Residuals<'a> {
         }
         out.sort_unstable();
         out.dedup();
+        if let Some(absorbed) = self.absorb(&out, false) {
+            return self.and(absorbed);
+        }
         match out.len() {
             0 => UNIVERSE,
             1 => out[0],
@@ -297,7 +309,8 @@ impl<'a> Residuals<'a> {
         }
     }
 
-    /// [`Sfa::or`] on ids: flattening, absorbing `∅` and the universe.
+    /// [`Sfa::or`] on ids: flattening, absorbing `∅` and the universe, closed under
+    /// absorption.
     fn or(&mut self, parts: Vec<StateId>) -> StateId {
         let mut out = Vec::with_capacity(parts.len());
         for p in parts {
@@ -310,11 +323,78 @@ impl<'a> Residuals<'a> {
         }
         out.sort_unstable();
         out.dedup();
+        if let Some(absorbed) = self.absorb(&out, true) {
+            return self.or(absorbed);
+        }
         match out.len() {
             0 => ZERO,
             1 => out[0],
             _ => self.node(Node::Or(out.into())),
         }
+    }
+
+    /// The operands of `id` when it is a union (`union`) or an intersection (`!union`).
+    fn junction(&self, id: StateId, union: bool) -> Option<Rc<[StateId]>> {
+        match (&self.nodes[id as usize], union) {
+            (Node::Or(parts), true) | (Node::And(parts), false) => Some(Rc::clone(parts)),
+            _ => None,
+        }
+    }
+
+    /// [`Residuals::or`] (`union`) or [`Residuals::and`].
+    fn junct(&mut self, parts: Vec<StateId>, union: bool) -> StateId {
+        if union {
+            self.or(parts)
+        } else {
+            self.and(parts)
+        }
+    }
+
+    /// The absorption step of [`Sfa::and`] and [`Sfa::or`] on the sorted, deduplicated
+    /// ids of a union (`union`) or an intersection: `None` when no rule applies.
+    fn absorb(&mut self, operands: &[StateId], union: bool) -> Option<Vec<StateId>> {
+        let first = (0..operands.len())
+            .find(|&i| self.absorb_operand(operands[i], operands, union).is_some())?;
+        let mut out = operands[..first].to_vec();
+        for &op in &operands[first..] {
+            match self.absorb_operand(op, operands, union) {
+                None => out.push(op),
+                Some(rewritten) => out.extend(rewritten),
+            }
+        }
+        Some(out)
+    }
+
+    /// The rewrite of one operand by [`Residuals::absorb`]: `None` when no rule
+    /// applies, `Some(None)` when it goes, `Some(Some(x))` when it becomes `x`.
+    fn absorb_operand(
+        &mut self,
+        op: StateId,
+        operands: &[StateId],
+        union: bool,
+    ) -> Option<Option<StateId>> {
+        let outer = |x: &StateId| operands.binary_search(x).is_ok();
+        let parts = self.junction(op, !union)?;
+        if parts.iter().any(outer) {
+            return Some(None);
+        }
+        if !parts.iter().any(|&p| {
+            self.junction(p, union)
+                .is_some_and(|nested| nested.iter().any(outer))
+        }) {
+            return None;
+        }
+        let parts = parts
+            .iter()
+            .map(|&p| match self.junction(p, union) {
+                Some(nested) if nested.iter().any(outer) => {
+                    let kept = nested.iter().copied().filter(|n| !outer(n)).collect();
+                    self.junct(kept, union)
+                }
+                _ => p,
+            })
+            .collect();
+        Some(Some(self.junct(parts, !union)))
     }
 
     /// [`Sfa::concat`] on ids: right-associated, absorbing the universe.

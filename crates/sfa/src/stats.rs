@@ -216,15 +216,12 @@ counters! {
         product_states: usize,
         /// Number of per-group product walks answered from the DFA-shape memo.
         shape_memo_hits: usize,
-        /// Number of antichain subsumption probes issued by on-the-fly product walks
-        /// (0 with `--subsume off` or in materialising mode).
+        /// Retired, always 0: antichain subsumption probes. The product walk no longer
+        /// prunes; the counter stays only because the benchmark's helper reads it.
         subsumption_checks: usize,
-        /// Number of product pairs dropped by antichain subsumption before
-        /// exploration.
+        /// Retired, always 0: product pairs dropped by antichain subsumption. Kept, like
+        /// `subsumption_checks`, for the benchmark's helper.
         subsumed_pairs: usize,
-        /// Number of simulation-preorder probes answered from the run-wide
-        /// subsumption memo.
-        simulation_memo_hits: usize,
         /// Number of shared-tier shard-lock acquisitions the oracle performed (0
         /// without a tiered oracle). Per-worker local read-through tiers absorb repeat
         /// lookups lock-free, so this drops under `--jobs N` while hit counts stay.

@@ -1,5 +1,6 @@
 //! Shared deterministic configuration generator for the differential harnesses
-//! (`minterm_differential`, `dfa_differential`, `inclusion_differential`).
+//! (`minterm_differential`, `dfa_differential`, `inclusion_differential`,
+//! `derivative_differential`).
 //!
 //! One copy of the xorshift stream and the random-SFA grammar keeps the harnesses from
 //! drifting apart: a tweak to the generator reaches every differential test at once.
@@ -73,6 +74,38 @@ pub fn random_sfa(rng: &mut XorShift, depth: u64) -> Sfa {
         3 => Sfa::and(vec![random_sfa(rng, depth - 1), random_sfa(rng, depth - 1)]),
         4 => Sfa::or(vec![random_sfa(rng, depth - 1), random_sfa(rng, depth - 1)]),
         _ => Sfa::concat(random_sfa(rng, depth - 1), random_sfa(rng, depth - 1)),
+    }
+}
+
+/// A richer grammar than [`random_sfa`]: it adds `ε`, the universe, `◯`, `*`, until
+/// and universe-headed concatenations, so the rules of the smart constructors that the
+/// shared grammar's formulas never reach fire too (the universe absorption of
+/// `Sfa::concat` and the Boolean absorption of `Sfa::and`/`Sfa::or` among them). Two of
+/// its shapes are built raw, not through the smart constructors, so interning has to
+/// normalise them. An until over a universe-headed concatenation has finitely many
+/// residuals only because the smart constructors absorb repeated disjuncts.
+pub fn rich_sfa(rng: &mut XorShift, depth: u64) -> Sfa {
+    if depth == 0 {
+        return match rng.below(4) {
+            0 => random_event(rng),
+            1 => Sfa::guard(Formula::Atom(random_atom(rng, false))),
+            2 => Sfa::Epsilon,
+            _ => Sfa::universe(),
+        };
+    }
+    let x = rich_sfa(rng, depth - 1);
+    match rng.below(11) {
+        0 => Sfa::not(x),
+        1 => Sfa::next(x),
+        2 => Sfa::star(x),
+        3 => Sfa::eventually(x),
+        4 => Sfa::and(vec![x, rich_sfa(rng, depth - 1)]),
+        5 => Sfa::or(vec![x, rich_sfa(rng, depth - 1)]),
+        6 => Sfa::concat(x, rich_sfa(rng, depth - 1)),
+        7 => Sfa::concat(x, Sfa::concat(Sfa::universe(), rich_sfa(rng, depth - 1))),
+        8 => Sfa::until(x, rich_sfa(rng, depth - 1)),
+        9 => Sfa::Star(Box::new(Sfa::star(x))),
+        _ => Sfa::Concat(Box::new(Sfa::star(x.clone())), Box::new(Sfa::star(x))),
     }
 }
 

@@ -3,9 +3,10 @@
 //! `derivative(state, m).alpha_normal()`, intern back to the id it was derived as, and
 //! carry the reference's nullability. The walks covered are every per-group product
 //! walk of `dfa_differential.rs`'s xorshift configurations (pruned and unpruned
-//! alphabets), of a richer random grammar that makes every smart-constructor rule fire,
-//! and of the suite's inclusion obligations; each automaton is closed under derivation
-//! over its group alphabet.
+//! alphabets), of the richer random grammar of `tests/common/mod.rs` that makes every
+//! smart-constructor rule fire, and of the suite's inclusion obligations; each
+//! automaton is closed under derivation over its group alphabet, uncapped: the
+//! absorption rules of `Sfa::and`/`Sfa::or` keep every closure finite.
 
 use hat_logic::{Atom, Formula, Ident, ScopedSession, Solver, Sort};
 use hat_sfa::dfa::{derivative, nullable, TransitionOracle};
@@ -22,7 +23,7 @@ use std::time::Duration;
 
 mod common;
 
-use common::{random_atom, random_case, random_event, XorShift, CTX_VARS};
+use common::{random_case, rich_sfa, XorShift, CTX_VARS};
 
 /// One per-group product walk: the two automata and the group alphabet.
 type Walk = (Sfa, Sfa, Vec<Minterm>);
@@ -111,9 +112,8 @@ impl TransitionOracle for Propositional {
 }
 
 /// Closes `start` under derivation over `alphabet` in one arena, checking every state
-/// and derivative against the tree reference, and stops discovering states once `cap`
-/// are known. Returns the number of states.
-fn check_closure(start: &Sfa, alphabet: &[Minterm], cap: usize) -> usize {
+/// and derivative against the tree reference. Returns the number of states.
+fn check_closure(start: &Sfa, alphabet: &[Minterm]) -> usize {
     let mut oracle = Propositional;
     let mut arena = Residuals::new(alphabet);
     let first = arena.intern(start);
@@ -145,7 +145,7 @@ fn check_closure(start: &Sfa, alphabet: &[Minterm], cap: usize) -> usize {
                 d,
                 "{reference} interned apart from the derivative it equals"
             );
-            if seen.len() < cap && seen.insert(d) {
+            if seen.insert(d) {
                 queue.push_back(d);
             }
         }
@@ -154,10 +154,10 @@ fn check_closure(start: &Sfa, alphabet: &[Minterm], cap: usize) -> usize {
 }
 
 /// Checks both automata of every recorded walk; returns the states covered.
-fn check_walks(walks: &BTreeSet<Walk>, cap: usize) -> usize {
+fn check_walks(walks: &BTreeSet<Walk>) -> usize {
     walks
         .iter()
-        .map(|(a, b, alphabet)| check_closure(a, alphabet, cap) + check_closure(b, alphabet, cap))
+        .map(|(a, b, alphabet)| check_closure(a, alphabet) + check_closure(b, alphabet))
         .sum()
 }
 
@@ -187,45 +187,16 @@ fn random_configurations_derive_exactly_the_tree_reference() {
     }
     let walks = walks.borrow();
     assert!(walks.len() >= 24, "only {} walks recorded", walks.len());
-    let states = check_walks(&walks, usize::MAX);
+    let states = check_walks(&walks);
     assert!(
         states > walks.len() * 2,
         "closures stayed trivial ({states})"
     );
 }
 
-/// A richer grammar than the shared one: it adds `ε`, the universe, `◯`, `*`, until
-/// and universe-headed concatenations, so the rules of the smart constructors that the
-/// shared grammar's formulas never reach fire too (the universe absorption of
-/// `Sfa::concat` among them). Two of its shapes are built raw, not through the smart
-/// constructors, so interning has to normalise them. Not every formula of the grammar
-/// has finitely many residuals (an until over a universe-headed concatenation grows
-/// one per step), so its closures are capped.
-fn rich_sfa(rng: &mut XorShift, depth: u64) -> Sfa {
-    if depth == 0 {
-        return match rng.below(4) {
-            0 => random_event(rng),
-            1 => Sfa::guard(Formula::Atom(random_atom(rng, false))),
-            2 => Sfa::Epsilon,
-            _ => Sfa::universe(),
-        };
-    }
-    let x = rich_sfa(rng, depth - 1);
-    match rng.below(11) {
-        0 => Sfa::not(x),
-        1 => Sfa::next(x),
-        2 => Sfa::star(x),
-        3 => Sfa::eventually(x),
-        4 => Sfa::and(vec![x, rich_sfa(rng, depth - 1)]),
-        5 => Sfa::or(vec![x, rich_sfa(rng, depth - 1)]),
-        6 => Sfa::concat(x, rich_sfa(rng, depth - 1)),
-        7 => Sfa::concat(x, Sfa::concat(Sfa::universe(), rich_sfa(rng, depth - 1))),
-        8 => Sfa::until(x, rich_sfa(rng, depth - 1)),
-        9 => Sfa::Star(Box::new(Sfa::star(x))),
-        _ => Sfa::Concat(Box::new(Sfa::star(x.clone())), Box::new(Sfa::star(x))),
-    }
-}
-
+/// The rich grammar reaches untils over universe-headed concatenations, whose
+/// residuals nest one level deeper per step unless the smart constructors absorb the
+/// repeated disjuncts; uncapped, this test overflows or runs away without those rules.
 #[test]
 fn rich_configurations_derive_exactly_the_tree_reference() {
     let walks = Rc::new(RefCell::new(BTreeSet::new()));
@@ -245,7 +216,7 @@ fn rich_configurations_derive_exactly_the_tree_reference() {
     }
     let walks = walks.borrow();
     assert!(walks.len() >= 24, "only {} walks recorded", walks.len());
-    check_walks(&walks, 64);
+    check_walks(&walks);
 }
 
 #[test]
@@ -263,5 +234,5 @@ fn suite_obligations_derive_exactly_the_tree_reference() {
     }
     let walks = walks.borrow();
     assert!(walks.len() > 100, "only {} walks recorded", walks.len());
-    check_walks(&walks, usize::MAX);
+    check_walks(&walks);
 }

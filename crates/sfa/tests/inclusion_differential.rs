@@ -2,7 +2,7 @@
 //! (the default) must produce exactly the verdicts of the materialising DFA-pair
 //! baseline, while a failing check must exit early — visiting strictly fewer product
 //! states than the materialised pair builds. Configurations are generated with the same
-//! deterministic xorshift stream the other differential harnesses use
+//! deterministic xorshift stream and grammars the other differential harnesses use
 //! (`tests/common/mod.rs`).
 
 use hat_logic::{Formula, Solver, Sort, Term};
@@ -10,7 +10,7 @@ use hat_sfa::{InclusionChecker, InclusionMode, OpSig, Sfa, VarCtx};
 
 mod common;
 
-use common::{random_case, XorShift};
+use common::{random_case, rich_sfa, XorShift, CTX_VARS};
 
 fn ops() -> Vec<OpSig> {
     vec![
@@ -89,6 +89,43 @@ fn onthefly_and_materialised_inclusion_are_verdict_identical() {
     assert!(
         failed_somewhere && passed_somewhere,
         "the random stream must exercise both verdicts"
+    );
+}
+
+/// The rich grammar reaches untils over universe-headed concatenations, whose residual
+/// sets are finite only because the smart constructors absorb repeated disjuncts. Both
+/// pipelines must decide every case within the state bound and agree: a materialised
+/// build derives every residual, so one formula whose residuals kept growing would
+/// end in `TooManyStates` here.
+#[test]
+fn rich_formulas_are_decided_by_both_pipelines_with_equal_verdicts() {
+    let vars = CTX_VARS
+        .iter()
+        .map(|v| (v.to_string(), Sort::Int))
+        .collect();
+    let ctx = VarCtx::new(vars, vec![]);
+    let mut rng = XorShift(0x5eed_da7a_0b5e_55ed);
+    let mut verdicts = [0usize; 2];
+    for case in 0..96 {
+        let (a, b) = (rich_sfa(&mut rng, 3), rich_sfa(&mut rng, 3));
+        let decide = |mode: InclusionMode| {
+            let mut checker = InclusionChecker::new(ops());
+            checker.mode = mode;
+            checker
+                .check(&ctx, &a, &b, &mut Solver::default())
+                .unwrap_or_else(|e| panic!("case {case}: {mode:?} on {a} ⊆ {b}: {e}"))
+        };
+        let materialised = decide(InclusionMode::Materialise);
+        assert_eq!(
+            decide(InclusionMode::OnTheFly),
+            materialised,
+            "case {case}: the pipelines disagree on {a} ⊆ {b}"
+        );
+        verdicts[usize::from(materialised)] += 1;
+    }
+    assert!(
+        verdicts.iter().all(|&n| n > 0),
+        "the rich stream must exercise both verdicts: {verdicts:?}"
     );
 }
 
