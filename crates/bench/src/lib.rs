@@ -192,7 +192,7 @@ fn ablation() -> Vec<(&'static str, EngineConfig, bool)> {
 /// they want and the writer refuses anything else — bumping the layout without bumping
 /// the version string (or vice versa) becomes a hard error at the call site instead of
 /// a silently mislabelled artefact.
-pub const ENGINE_BENCH_SCHEMA: &str = "hat-engine-bench v12";
+pub const ENGINE_BENCH_SCHEMA: &str = "hat-engine-bench v13";
 
 /// One row of the runs table: the knob settings, the configurations the run left out,
 /// the wall time, the run's cache counters and every benchmark's method counters, all
@@ -296,6 +296,8 @@ mod tests {
             "hat-engine-bench v8",
             "hat-engine-bench v9",
             "hat-engine-bench v10",
+            "hat-engine-bench v11",
+            "hat-engine-bench v12",
         ] {
             let err = write_engine_json(path, stale, &runs)
                 .expect_err("an outdated schema string must be refused");

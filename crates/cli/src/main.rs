@@ -11,16 +11,15 @@
 //!                                         # plain checker, an engine knob combination
 //!                                         # (rotating through all 32; --exhaustive
 //!                                         # runs all 32 per configuration), warm
-//!                                         # memo-tier resubmission, LSM store when
-//!                                         # --cache is given, and the daemon wire
+//!                                         # memo-tier resubmission, the store file
+//!                                         # when --cache is given, the daemon wire
 //!                                         # when --remote is given. On the first
 //!                                         # disagreement the configuration is shrunk
 //!                                         # to a minimal named reproducer.
 //! marple cache stats <path>               # per-record-kind counts + live/dead ratio
-//! marple cache compact <path>             # rewrite the log without dead records
 //! marple daemon start [options]           # run a marpled daemon in the foreground
 //! marple daemon status [--remote ADDR]    # uptime, counters and per-client stats
-//! marple daemon stop [--now] [--remote ADDR]  # graceful shutdown (drain, compact,
+//! marple daemon stop [--now] [--remote ADDR]  # graceful shutdown (drain, write,
 //!                                         # unlock); --now drops queued jobs first
 //!
 //! options:
@@ -346,15 +345,14 @@ fn run(benches: Vec<Benchmark>, opts: &Options, request: Request) -> bool {
     ok
 }
 
-/// `marple cache stats <path>` — read-only scan of manifest + segments: per-kind
-/// counts, segment and torn-segment counts, live/dead ratio, header version. Never
-/// takes the writer lock, so it prints honest numbers even while a daemon holds the
-/// store.
+/// `marple cache stats <path>` — read-only scan of the store file: per-kind counts,
+/// whether the file is torn, live/dead ratio, header version. Never takes the writer
+/// lock, so it prints honest numbers even while a daemon holds the store.
 fn cache_stats(path: &str) -> Result<(), String> {
     let stats = MemoStore::inspect(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     match (&stats.header, stats.version) {
         (None, _) => {
-            println!("{path}: empty file (a fresh store will start at v6)");
+            println!("{path}: empty file (a fresh store will start at v7)");
             return Ok(());
         }
         (Some(h), None) => {
@@ -368,23 +366,14 @@ fn cache_stats(path: &str) -> Result<(), String> {
         (RecordKind::Inclusion, stats.inclusion),
         (RecordKind::Shape, stats.shape),
         (RecordKind::Minterms, stats.minterms),
-        (RecordKind::Transition, stats.transitions),
-        (RecordKind::Subsumption, stats.subsumption),
     ] {
         println!("  {:<24} {:>8}", format!("{}:", kind.label()), count);
     }
-    if stats.transitions + stats.subsumption > 0 {
+    if stats.torn_segments > 0 {
         println!(
-            "  (T and U records are never read; the next writer to open the store drops them)"
+            "  torn: the file fails its checksum, so a run opens cold and its next write \
+             replaces the file"
         );
-    }
-    if stats.version == Some(6) {
-        let torn = if stats.torn_segments > 0 {
-            format!(" ({} torn, degraded to cold)", stats.torn_segments)
-        } else {
-            String::new()
-        };
-        println!("  {:<24} {:>8}{torn}", "segment files:", stats.segments);
     }
     println!(
         "  live: {} / dead: {} ({} duplicate, {} malformed) — {:.1}% dead",
@@ -395,32 +384,8 @@ fn cache_stats(path: &str) -> Result<(), String> {
         100.0 * stats.dead_ratio()
     );
     if stats.dead() > 0 {
-        println!("  run `marple cache compact {path}` to drop the dead records");
+        println!("  the next run that adds a record rewrites the file without them");
     }
-    Ok(())
-}
-
-/// `marple cache compact <path>` — nudge the background compactor: drain the memtable
-/// and merge every segment family with more than one segment, dropping dead records.
-fn cache_compact(path: &str) -> Result<(), String> {
-    // with_disk_log would happily create a fresh log at a mistyped path; compacting
-    // only makes sense for a file that exists.
-    if !std::path::Path::new(path).is_file() {
-        return Err(format!("cannot compact `{path}`: no such file"));
-    }
-    let store = MemoStore::with_disk_log(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
-    if store.degraded() {
-        return Err(format!(
-            "`{path}` is locked by another process; retry when its run finishes"
-        ));
-    }
-    let report = store
-        .compact()
-        .map_err(|e| format!("compaction failed: {e}"))?;
-    println!(
-        "{path}: {} records / {} bytes -> {} records / {} bytes",
-        report.records_before, report.bytes_before, report.records_after, report.bytes_after
-    );
     Ok(())
 }
 
@@ -461,11 +426,14 @@ fn daemon_status(addr: &Addr) -> Result<(), String> {
     );
     match (&status.cache_path, status.degraded) {
         (Some(path), false) => println!(
-            "store: {} entries, log `{path}` (lock held)",
+            "store: {} entries, file `{path}` (lock held)",
             status.entries
         ),
         (Some(path), true) => {
-            println!("store: {} entries, log `{path}` (DEGRADED)", status.entries)
+            println!(
+                "store: {} entries, file `{path}` (DEGRADED)",
+                status.entries
+            )
         }
         (None, _) => println!("store: {} entries, in memory only", status.entries),
     }
@@ -604,7 +572,7 @@ fn fuzz(opts: &Options) -> bool {
             ", rotating through all 32"
         },
         if opts.cache_path.is_some() {
-            "; LSM store attached"
+            "; store file attached"
         } else {
             ""
         },
@@ -782,10 +750,9 @@ fn main() {
             std::process::exit(if fuzz(&opts) { 0 } else { 1 });
         }
         Some("cache") => {
-            let usage = "usage: marple cache stats <path> | marple cache compact <path>";
+            let usage = "usage: marple cache stats <path>";
             let result = match (args.get(1).map(String::as_str), args.get(2)) {
                 (Some("stats"), Some(path)) => cache_stats(path),
-                (Some("compact"), Some(path)) => cache_compact(path),
                 _ => Err(usage.to_string()),
             };
             if let Err(e) = result {

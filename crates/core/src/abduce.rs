@@ -11,7 +11,7 @@
 //!
 //! The full CEGIS loop of the paper is replaced by a weakest-first search over these
 //! candidates; this is sufficient for the library signatures shipped in `hat-stdlib` and is
-//! recorded as a deviation in `DESIGN.md`.
+//! recorded under "Deviations from the paper" in `docs/ARCHITECTURE.md`.
 
 use hat_logic::{Atom, Formula, Ident, Term};
 use hat_sfa::Sfa;

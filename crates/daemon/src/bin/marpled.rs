@@ -6,9 +6,10 @@
 //! options:
 //!   --addr ADDR     listen address: `unix:PATH` or `tcp:HOST:PORT`
 //!                   (default: unix:<tmpdir>/marpled.sock)
-//!   --cache PATH    persist the solver-query cache at PATH; the log is replayed into
-//!                   memory before the first connection is accepted, and the daemon
-//!                   holds the single-writer lock for its whole lifetime
+//!   --cache PATH    persist the solver-query cache at PATH; the file is read into
+//!                   memory before the first connection is accepted, rewritten after
+//!                   each request that added records, and the daemon holds the
+//!                   single-writer lock for its whole lifetime
 //!   --jobs N        verification worker threads (default 1)
 //!   --max-connections N  open-connection cap; over-cap clients get a structured
 //!                   `busy` error instead of service (0 = unlimited, default 64)
@@ -18,8 +19,8 @@
 //! ```
 //!
 //! The daemon runs until a client sends `shutdown` (`marple daemon stop`); it then
-//! drains in-flight jobs, compacts the log if crowded, releases the cache lock and
-//! removes its socket. Talk to it with `marple check/check-all --remote <ADDR>` or
+//! drains in-flight jobs, writes the store file if it has fresh records, releases the
+//! cache lock and removes its socket. Talk to it with `marple check/check-all --remote <ADDR>` or
 //! `marple daemon status`.
 
 use hat_daemon::{Addr, Daemon, DaemonConfig};

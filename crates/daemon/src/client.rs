@@ -7,7 +7,7 @@ use crate::frame::{read_frame, write_frame, MAX_RESPONSE_FRAME};
 use crate::net::{Addr, Stream};
 use crate::proto::{Envelope, Hello, Request, Response, ResponseEnvelope};
 use hat_core::MethodReport;
-use hat_engine::{BenchmarkRun, CompactionReport, RunSummary};
+use hat_engine::{BenchmarkRun, RunSummary};
 use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
 
@@ -236,16 +236,6 @@ impl RemoteClient {
         }
     }
 
-    /// Asks the daemon to compact its log if crowded; `None` means it was not.
-    pub fn cache_compact(&mut self) -> Result<Option<CompactionReport>, String> {
-        let id = self.send(Request::CacheCompact)?;
-        match self.recv_for(id)? {
-            Response::Compacted(report) => Ok(report),
-            Response::Error { message } => Err(message),
-            other => Err(unexpected("compacted", &other)),
-        }
-    }
-
     /// Cancels the in-flight verification request `target` (an id returned by
     /// [`RemoteClient::send`]): its queued jobs are dropped, running ones finish, and
     /// its stream still terminates with a partial `done`.
@@ -276,7 +266,6 @@ fn unexpected(wanted: &str, got: &Response) -> String {
         Response::Report { .. } => "report",
         Response::Done { .. } => "done",
         Response::Stats(_) => "stats",
-        Response::Compacted(_) => "compacted",
         Response::Cancelled { .. } => "cancelled",
         Response::Busy { .. } => "busy",
         Response::Error { .. } => "error",

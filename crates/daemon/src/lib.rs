@@ -3,15 +3,14 @@
 //! `marpled` — the HAT verifier as a long-lived service — and the thin client behind
 //! `marple … --remote`.
 //!
-//! A batch `marple check-all` pays the engine's startup cost every time: replaying the
-//! disk log, spawning the worker pool, re-deriving whatever the log didn't carry
-//! (in-memory-only tiers like DFA transitions, and per-worker local tiers, die with
-//! the process). `marpled` pays those costs **once**: it owns a persistent
-//! [`hat_engine::Engine`] — worker pool, tiered memo store, cache-log writer lock —
-//! and serves verification requests over a Unix socket (TCP loopback fallback),
-//! streaming per-job verdicts and counters as workers finish them. Clients get warm-
-//! cache latency without touching the disk log, and many clients share one warm store
-//! concurrently.
+//! A batch `marple check-all` pays the engine's startup cost every time: reading the
+//! store file, spawning the worker pool, and re-filling the per-worker local tiers,
+//! which die with the process. `marpled` pays those costs **once**: it owns a
+//! persistent [`hat_engine::Engine`] — worker pool, tiered memo store, store-file
+//! writer lock — and serves verification requests over a Unix socket (TCP loopback
+//! fallback), streaming per-job verdicts and counters as workers finish them. Clients
+//! get warm-cache latency without reading the store file, and many clients share one
+//! warm store concurrently.
 //!
 //! The layers, bottom up:
 //!
@@ -20,7 +19,7 @@
 //! - [`proto`]: the `marpled v1` handshake and typed request/response envelopes;
 //! - [`net`]: service addresses (`unix:PATH` / `tcp:HOST:PORT`) over both transports;
 //! - [`server`]: the daemon — accept loop, per-connection handler/writer threads,
-//!   per-request runner threads, graceful drain-and-compact shutdown;
+//!   per-request runner threads, graceful drain-and-release shutdown;
 //! - [`client`]: the remote client, reassembling streamed reports into the same
 //!   [`hat_engine::RunSummary`] a local run produces.
 //!

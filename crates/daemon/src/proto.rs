@@ -36,7 +36,7 @@
 
 use crate::json::{obj, Json};
 use hat_core::{CheckStats, MethodReport};
-use hat_engine::{CacheStatsSnapshot, CompactionReport};
+use hat_engine::CacheStatsSnapshot;
 use hat_sfa::{Counter, CounterMut};
 use std::time::Duration;
 
@@ -50,12 +50,13 @@ pub const SERVER_NAME: &str = "marpled v2";
 /// `theory_checks`; 5: `report` stats lost `transition_memo_hits` and the `cache`
 /// object lost `transition_hits` and `transition_misses`; 6: `report` stats lost
 /// `simulation_memo_hits` and the `cache` object lost `subsumption_hits` and
-/// `subsumption_misses`).
-pub const PROTOCOL_VERSION: u64 = 6;
+/// `subsumption_misses`; 7: the compaction op and its answer are gone with the
+/// log-structured store, and the `cache` object lost `disk_lock_acquisitions`).
+pub const PROTOCOL_VERSION: u64 = 7;
 
-/// The disk-cache format generation the daemon serves (`hat-engine-cache v6`). Part of
+/// The disk-cache format generation the daemon serves (`hat-engine-cache v7`). Part of
 /// the handshake so a client built against a different store generation refuses early.
-pub const CACHE_VERSION: u64 = 6;
+pub const CACHE_VERSION: u64 = 7;
 
 /// The connect-time server announcement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,8 +157,6 @@ pub enum Request {
     Warmup,
     /// Daemon and store statistics; answered with `stats`.
     CacheStats,
-    /// Compact the disk log if crowded with dead records; answered with `compacted`.
-    CacheCompact,
     /// Drop the queued jobs of an in-flight verification request on this connection
     /// (its `target` is the request id); jobs already on a worker finish. Answered
     /// with `cancelled`; the target's stream still terminates with its own `done`.
@@ -165,7 +164,8 @@ pub enum Request {
         /// Request id of the verification stream to cancel.
         target: u64,
     },
-    /// Graceful shutdown: drain in-flight jobs, flush/compact, release the lock.
+    /// Graceful shutdown: drain in-flight jobs, write the store file if it has fresh
+    /// records, release the lock.
     /// Answered with `bye` before the daemon exits. With `now`, queued jobs of every
     /// in-flight request are cancelled first and only running jobs are drained.
     Shutdown {
@@ -183,7 +183,6 @@ impl Request {
             Request::CheckAll => "check-all",
             Request::Warmup => "warmup",
             Request::CacheStats => "cache-stats",
-            Request::CacheCompact => "cache-compact",
             Request::Cancel { .. } => "cancel",
             Request::Shutdown { .. } => "shutdown",
         }
@@ -258,7 +257,6 @@ impl Envelope {
             "check-all" => Request::CheckAll,
             "warmup" => Request::Warmup,
             "cache-stats" => Request::CacheStats,
-            "cache-compact" => Request::CacheCompact,
             "cancel" => Request::Cancel {
                 target: v
                     .u64_field("target")
@@ -340,7 +338,7 @@ pub struct DaemonStatus {
     pub entries: usize,
     /// Whether the store is running degraded (in-memory, lock not held).
     pub degraded: bool,
-    /// The disk log path, when the store is persistent.
+    /// The store file path, when the store is persistent.
     pub cache_path: Option<String>,
     /// Per-client statistics: every open connection plus a bounded window of recently
     /// closed ones, newest connection last.
@@ -392,9 +390,6 @@ pub enum Response {
     },
     /// Answer to `cache-stats`.
     Stats(Box<DaemonStatus>),
-    /// Answer to `cache-compact`; `None` when the log was not crowded enough (or the
-    /// store is in-memory).
-    Compacted(Option<CompactionReport>),
     /// Acknowledges a `cancel` request: the target's queued jobs were dropped (its
     /// stream still ends with its own partial `done`).
     Cancelled {
@@ -611,18 +606,6 @@ impl ResponseEnvelope {
                     ),
                 ));
             }
-            Response::Compacted(report) => {
-                fields.push(("type", Json::Str("compacted".into())));
-                match report {
-                    Some(r) => {
-                        fields.push(("bytes_before", Json::Int(r.bytes_before as i64)));
-                        fields.push(("bytes_after", Json::Int(r.bytes_after as i64)));
-                        fields.push(("records_before", Json::Int(r.records_before as i64)));
-                        fields.push(("records_after", Json::Int(r.records_after as i64)));
-                    }
-                    None => fields.push(("skipped", Json::Bool(true))),
-                }
-            }
             Response::Cancelled { target } => {
                 fields.push(("type", Json::Str("cancelled".into())));
                 fields.push(("target", Json::Int(*target as i64)));
@@ -772,20 +755,6 @@ impl ResponseEnvelope {
                     })
                     .collect::<Result<Vec<_>, String>>()?,
             })),
-            "compacted" => Response::Compacted(if v.bool_field("skipped") == Some(true) {
-                None
-            } else {
-                Some(CompactionReport {
-                    bytes_before: v
-                        .u64_field("bytes_before")
-                        .ok_or("compacted lacks `bytes_before`")?,
-                    bytes_after: v
-                        .u64_field("bytes_after")
-                        .ok_or("compacted lacks `bytes_after`")?,
-                    records_before: usize_field(&v, "records_before")?,
-                    records_after: usize_field(&v, "records_after")?,
-                })
-            }),
             "cancelled" => Response::Cancelled {
                 target: v.u64_field("target").ok_or("cancelled lacks `target`")?,
             },
@@ -823,7 +792,6 @@ mod tests {
             Request::CheckAll,
             Request::Warmup,
             Request::CacheStats,
-            Request::CacheCompact,
             Request::Cancel { target: 4 },
             Request::Shutdown { now: false },
             Request::Shutdown { now: true },
@@ -943,7 +911,7 @@ mod tests {
     }
 
     #[test]
-    fn done_stats_compacted_and_errors_round_trip() {
+    fn done_stats_and_errors_round_trip() {
         let snapshot = CacheStatsSnapshot {
             hits: 100,
             misses: 7,
@@ -952,7 +920,6 @@ mod tests {
             minterm_hits: 20,
             minterm_misses: 3,
             lock_acquisitions: 60,
-            disk_lock_acquisitions: 9,
         };
         let cases = vec![
             Response::Pong { uptime_secs: 12.5 },
@@ -996,13 +963,6 @@ mod tests {
                     active: true,
                 }],
             })),
-            Response::Compacted(Some(CompactionReport {
-                bytes_before: 4096,
-                bytes_after: 1024,
-                records_before: 100,
-                records_after: 25,
-            })),
-            Response::Compacted(None),
             Response::Cancelled { target: 12 },
             Response::Busy {
                 message: "the daemon is at its connection limit (64)".into(),

@@ -3,9 +3,9 @@
 //!
 //! ## Lifecycle
 //!
-//! [`Daemon::spawn`] builds the engine first — replaying the v6 manifest and its
-//! segment files warms the store **before** the listener accepts anything, so the
-//! first client already sees a warm cache — then binds the listener, writes the `<cache>.addr` sidecar (which is
+//! [`Daemon::spawn`] builds the engine first — reading the store file warms the store
+//! **before** the listener accepts anything, so the first client already sees a warm
+//! cache — then binds the listener, writes the `<cache>.addr` sidecar (which is
 //! how lock-contended batch runs learn the daemon's address), and starts the accept
 //! loop on a background thread. If the cache lock is held by another process the
 //! daemon refuses to start rather than running degraded: a daemon whose verdicts
@@ -38,12 +38,11 @@
 //! with a dummy self-connection (`shutdown --now` first drops every queued job, so
 //! only running jobs drain). The accept loop then half-closes (`shutdown(Read)`)
 //! every live connection — handlers stop taking *new* requests but writers keep
-//! streaming until in-flight runs finish — joins everything, then quiesces the LSM
-//! store: the memtable is drained to segments, the background compactor merges the
-//! segment families if they are crowded with dead records, and only then does the
-//! engine drop (pool joins, the LSM thread joins, the sidecar lock releases) before
-//! the `.addr` sidecar and the socket file are unlinked. The socket file
-//! disappearing last is what `marple daemon stop` polls.
+//! streaming until in-flight runs finish — joins everything, then drops the engine:
+//! the pool joins, the store writes its file if a record arrived since the last write
+//! (every run already wrote at its end, before its `done`), and the sidecar lock
+//! releases. Only then are the `.addr` sidecar and the socket file unlinked. The socket
+//! file disappearing last is what `marple daemon stop` polls.
 
 use crate::frame::{read_frame, write_frame, MAX_REQUEST_FRAME};
 use crate::net::{Addr, Listener, Stream};
@@ -396,19 +395,10 @@ impl Daemon {
             .name("marpled-accept".to_string())
             .spawn(move || {
                 serve(&serve_shared, &engine, &listener);
-                // Every handler, runner and writer has joined: drain the memtable to
-                // segments, nudge the compactor if the families are crowded, release
-                // the lock by dropping the engine (which joins the LSM thread), then
+                // Every handler, runner and writer has joined: release the lock by
+                // dropping the engine (the store writes any fresh records first), then
                 // remove the advertisement files — socket last, it is what
                 // `marple daemon stop` polls.
-                match engine.cache().compact_if_needed() {
-                    Ok(Some(report)) => serve_shared.log(format_args!(
-                        "compacted the cache segments: {} → {} records",
-                        report.records_before, report.records_after
-                    )),
-                    Ok(None) => {}
-                    Err(e) => serve_shared.log(format_args!("cache compaction failed: {e}")),
-                }
                 drop(engine);
                 if let Some(path) = &addr_file {
                     let _ = std::fs::remove_file(path);
@@ -680,16 +670,6 @@ fn handle_connection<'scope>(
             Request::CacheStats => {
                 tx.send(shared, id, Response::Stats(Box::new(shared.status(engine))));
             }
-            Request::CacheCompact => match engine.cache().compact_if_needed() {
-                Ok(report) => tx.send(shared, id, Response::Compacted(report)),
-                Err(e) => tx.send(
-                    shared,
-                    id,
-                    Response::Error {
-                        message: format!("compaction failed: {e}"),
-                    },
-                ),
-            },
             Request::Cancel { target } => {
                 let flag = cancel_flags
                     .lock()

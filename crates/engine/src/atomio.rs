@@ -4,8 +4,8 @@
 //! runs skip minterm enumeration entirely. A record's payload is the canonical
 //! ([`crate::canon::alphabet_key`]-renamed) [`MintermSet`] in the format below — a
 //! self-delimiting prefix encoding in which every user-supplied name is length-prefixed
-//! and control characters are escaped, so a payload can never contain the log's record
-//! delimiters (tab, newline) and parsing is injective:
+//! and control characters are escaped, so a payload can never contain the store file's
+//! record delimiters (tab, newline) and parsing is injective:
 //!
 //! ```text
 //! set     := 'U' count { atom } 'M' count { minterm } 'P' count 'Q' count
@@ -106,15 +106,27 @@ fn ser_count(n: usize, out: &mut String) {
 /// `canon::ser_name`): no tab or newline can survive into the payload, and the byte
 /// length counts the escaped form, keeping the encoding injective.
 fn ser_name(n: &str, out: &mut String) {
-    let escaped: String = n
+    // The escaped length goes first, so it is counted before the escape is written
+    // straight into `out`: no buffer per name. A store write serialises every name of
+    // every minterm set at once, on the thread that ends the run.
+    let escaped_len: usize = n
         .chars()
-        .flat_map(|c| match c {
-            '\\' => "\\\\".chars().collect::<Vec<_>>(),
-            c if is_escaped_control(c) => format!("\\x{:02x}", c as u32).chars().collect(),
-            c => vec![c],
+        .map(|c| match c {
+            '\\' => 2,
+            c if is_escaped_control(c) => 4,
+            c => c.len_utf8(),
         })
-        .collect();
-    let _ = write!(out, "{}#{}", escaped.len(), escaped);
+        .sum();
+    let _ = write!(out, "{escaped_len}#");
+    for c in n.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            c if is_escaped_control(c) => {
+                let _ = write!(out, "\\x{:02x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
 }
 
 fn ser_atom(a: &Atom, out: &mut String) {

@@ -1,13 +1,12 @@
-//! The shared tiered memo store: one [`SharedTier`] per record kind, optionally backed
-//! by the LSM-structured disk store of [`crate::lsm`] so repeated runs start warm, and
-//! optionally fronted by per-worker [`crate::tier::LocalTier`]s (composed in
+//! The shared memo store: one [`SharedTier`] per record kind, optionally backed by
+//! one store file ([`crate::store_file`]) so repeated runs start warm, and optionally
+//! fronted by per-worker [`crate::tier::LocalTier`]s (composed in
 //! [`crate::oracle::CachingOracle`]) so hot lookups touch no lock at all.
 //!
-//! Six record kinds share the store (see [`RecordKind`]), and every kind takes the same
-//! path: [`MemoStore::lookup`] probes the shared tier, reads through to the disk tier
-//! and promotes a disk hit; [`MemoStore::insert`] logs a record line to the LSM
-//! memtable only when the shared insert is fresh and the kind is one a warm run reads.
-//! Values of every kind travel as one [`MemoValue`]:
+//! Four record kinds share the store (see [`RecordKind`]), and every kind takes the
+//! same path: [`MemoStore::lookup`] probes the shared tier, and [`MemoStore::insert`]
+//! marks the store dirty when the shared insert is fresh. Values of every kind travel
+//! as one [`MemoValue`]:
 //!
 //! * **Solver verdicts** (`S` records): one satisfiability bit per canonical query key.
 //! * **Inclusion verdicts** (`I` records): one bit per canonical automata-inclusion key —
@@ -20,58 +19,39 @@
 //!   [`crate::canon::alphabet_key`], persisted through the line-safe atom serialisation
 //!   of [`crate::atomio`] — a warm run skips minterm enumeration entirely.
 //!
-//! Two retired kinds are produced nowhere: `T` (DFA transitions; each walk derives in
-//! its own residual arena, `hat_sfa::residual`) and `U` (antichain-subsumption
-//! verdicts; the product walk no longer prunes). They stay so that `T` and `U`
-//! segments written by older binaries are recognised and dropped (see
-//! `RecordKind::is_persisted`).
+//! # Disk format (v7)
 //!
-//! # Disk format (v6)
-//!
-//! The persistent tier is a small LSM store (see [`crate::lsm`] for the mechanics and
-//! `docs/CACHE_FORMAT.md` for the full grammar): the cache path itself is a
-//! *manifest* (`hat-engine-cache v6` header plus one line per live segment), and the
-//! records live in sorted, fingerprint-partitioned, per-kind *segment files* under
-//! `<path>.d/`. Fresh records are appended to an in-memory memtable and reach disk when
-//! the memtable rotates (size threshold, end-of-run flush, or drop) — a dedicated
-//! background thread writes segments, commits the manifest atomically, and merges
-//! segment families without taking a single tier lock. Record lines inside segments are
-//! `<kind><verdict>\t<key>` for `S`/`I`/`D` and `M\t<key>\t<payload>` for minterm sets.
-//! `T` and `U` segments left by binaries that persisted those kinds are never read: a
-//! locked open drops them from the manifest and unlinks their files.
+//! The cache path is one file (see [`crate::store_file`] and `docs/CACHE_FORMAT.md`):
+//! the `hat-engine-cache v7` header, one record line per record, sorted, and a trailing
+//! checksum. Record lines are `<kind><verdict>\t<key>` for `S`/`I`/`D` and
+//! `M\t<key>\t<payload>` for minterm sets. Opening reads the file whole, straight into
+//! the shared tiers; [`MemoStore::flush`] (at the end of every run, and on drop) writes
+//! the shared tiers whole when a fresh record arrived since the last write.
 //!
 //! Properties:
 //!
 //! * **Single-writer locking.** Opening takes a sidecar lock (`<path>.lock`, holder PID
 //!   inside). A second process finds the lock held and **degrades to in-memory** with a
-//!   warning (entries are still replayed read-only for a warm start). A lock whose
+//!   warning (the file is still read for a warm start, never written). A lock whose
 //!   holder is dead is reclaimed. [`MemoStore::inspect`] never takes the lock at all —
 //!   `marple cache stats` prints honest numbers even while a daemon owns the store.
-//! * **Compaction.** [`MemoStore::compact`] (CLI: `marple cache compact`) is a
-//!   *nudge*: it drains the memtable and asks the background thread to merge every
-//!   multi-segment family, newest record winning, duplicates and torn lines dropped.
-//!   Opening a store whose dead-record share passes a threshold nudges automatically.
-//! * **Foreign files.** A file with any header other than the v6 manifest's — the
-//!   flat v1–v5 logs of older binaries included — is ignored wholesale and counted as
-//!   stale rather than half-trusted (the store runs in-memory and never writes to the
-//!   foreign file). Malformed lines and torn segments are skipped and counted as
-//!   stale, never corrupting verdicts.
+//! * **Foreign files.** A file whose first line is not the v7 header — the v6 manifest
+//!   and the flat v1–v5 logs of older binaries included — is ignored wholesale and
+//!   counted as one stale entry: the store runs in-memory and never writes to it.
+//! * **Torn files.** A v7 file whose checksum fails opens cold, counted as one stale
+//!   entry, and the next write replaces it. A malformed line inside an intact file is
+//!   skipped and counted stale. Neither can corrupt a verdict.
 
 use crate::atomio::{parse_minterm_set, ser_minterm_set};
-use crate::lsm::{self, Lsm, LsmConfig, LsmStatsSnapshot, ManifestState};
-use crate::tier::{DiskTier, SharedTier};
-use hat_sfa::{MemoKind, MintermSet};
+use crate::store_file::{self, Contents, LsmConfig, LsmStatsSnapshot, Writer};
+use crate::tier::SharedTier;
+use hat_sfa::MintermSet;
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// An open-time compaction nudge fires when at least this many dead records are found…
-const AUTO_COMPACT_MIN_DEAD: usize = 16;
-/// …and they make up at least `1/AUTO_COMPACT_RATIO` of the replayed records.
-const AUTO_COMPACT_RATIO: usize = 4;
 
 /// The record kinds of the store, doubling as the disk-record tags. `kind as usize`
 /// indexes the per-kind tier and counter arrays.
@@ -85,35 +65,24 @@ pub enum RecordKind {
     Shape,
     /// Minterm sets (`M`).
     Minterms,
-    /// DFA transitions (`T`), produced nowhere: the tag is kept so that `T` segments
-    /// older binaries wrote are recognised and dropped.
-    Transition,
-    /// Subsumption verdicts (`U`), produced nowhere: the tag is kept so that `U`
-    /// segments older binaries wrote are recognised and dropped.
-    Subsumption,
 }
 
 impl RecordKind {
     /// Every kind, in disk order.
-    pub(crate) const ALL: [RecordKind; 6] = [
+    pub(crate) const ALL: [RecordKind; 4] = [
         RecordKind::Solver,
         RecordKind::Inclusion,
         RecordKind::Shape,
         RecordKind::Minterms,
-        RecordKind::Transition,
-        RecordKind::Subsumption,
     ];
 
-    /// The disk tag of this kind: the first byte of its record lines and of its segment
-    /// file names.
+    /// The disk tag of this kind: the first byte of its record lines.
     pub fn tag(self) -> &'static str {
         match self {
             RecordKind::Solver => "S",
             RecordKind::Inclusion => "I",
             RecordKind::Shape => "D",
             RecordKind::Minterms => "M",
-            RecordKind::Transition => "T",
-            RecordKind::Subsumption => "U",
         }
     }
 
@@ -124,14 +93,7 @@ impl RecordKind {
 
     /// Whether records of this kind hold a verdict bit (rather than a payload).
     pub(crate) fn is_verdict(self) -> bool {
-        !matches!(self, RecordKind::Minterms | RecordKind::Transition)
-    }
-
-    /// Whether records of this kind are written to the disk store: every kind but the
-    /// retired `T` and `U`, which are produced nowhere; a store that still names their
-    /// segments has them dropped unread at open.
-    pub(crate) fn is_persisted(self) -> bool {
-        !matches!(self, RecordKind::Transition | RecordKind::Subsumption)
+        self != RecordKind::Minterms
     }
 
     /// A human-readable label (used by `marple cache stats`).
@@ -141,20 +103,6 @@ impl RecordKind {
             RecordKind::Inclusion => "inclusion verdicts (I)",
             RecordKind::Shape => "DFA-shape verdicts (D)",
             RecordKind::Minterms => "minterm sets (M)",
-            RecordKind::Transition => "DFA transitions (T)",
-            RecordKind::Subsumption => "subsumption verdicts (U)",
-        }
-    }
-}
-
-impl From<MemoKind> for RecordKind {
-    fn from(kind: MemoKind) -> Self {
-        match kind {
-            MemoKind::Minterms => RecordKind::Minterms,
-            MemoKind::Inclusion => RecordKind::Inclusion,
-            MemoKind::Shape => RecordKind::Shape,
-            MemoKind::Transition => RecordKind::Transition,
-            MemoKind::Subsumption => RecordKind::Subsumption,
         }
     }
 }
@@ -165,7 +113,7 @@ impl From<MemoKind> for RecordKind {
 /// a lookup never deep-copies one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MemoValue {
-    /// A verdict bit (`S`, `I`, `D` and `U` records).
+    /// A verdict bit (`S`, `I` and `D` records).
     Verdict(bool),
     /// A canonical minterm set (`M` records).
     Minterms(Arc<MintermSet>),
@@ -183,7 +131,7 @@ impl From<MintermSet> for MemoValue {
     }
 }
 
-/// Serialises one record of a persisted kind as the line it occupies in a segment.
+/// Serialises one record as the line it occupies in the store file.
 fn record_line(kind: RecordKind, key: &str, value: &MemoValue) -> String {
     let tag = kind.tag();
     match value {
@@ -192,13 +140,12 @@ fn record_line(kind: RecordKind, key: &str, value: &MemoValue) -> String {
     }
 }
 
-/// Parses one record line of a segment body.
-/// `None` for a line no record grammar of a persisted kind accepts, including an `M`
-/// line whose payload does not parse exactly: a torn payload degrades to a cold entry,
-/// never a wrong one.
+/// Parses one record line of the store file.
+/// `None` for a line no record grammar accepts, including an `M` line whose payload
+/// does not parse exactly: a torn payload degrades to a cold entry, never a wrong one.
 fn parse_record(line: &str) -> Option<(RecordKind, &str, MemoValue)> {
     let (head, rest) = line.split_once('\t')?;
-    let kind = RecordKind::from_tag(head.get(..1)?).filter(|kind| kind.is_persisted())?;
+    let kind = RecordKind::from_tag(head.get(..1)?)?;
     let (key, value) = match (kind, &head[1..]) {
         (RecordKind::Minterms, "") => {
             let (key, payload) = rest.split_once('\t')?;
@@ -215,14 +162,14 @@ fn parse_record(line: &str) -> Option<(RecordKind, &str, MemoValue)> {
 hat_sfa::counters! {
     /// A point-in-time snapshot of the store counters (or the delta between two).
     pub struct CacheStatsSnapshot {
-        /// Queries answered from a memo tier (local, shared or disk).
+        /// Queries answered from a memo tier (local or shared).
         hits: usize,
         /// Queries that missed every tier and had to be solved.
         misses: usize,
-        /// Entries replayed from segments at startup.
+        /// Records read from the store file at startup.
         disk_loaded: usize,
-        /// Disk lines, segments (by record count) or whole files ignored as unreadable or
-        /// from another version.
+        /// Malformed lines, torn files and foreign files ignored at startup (a whole
+        /// file counts once).
         stale: usize,
         /// Alphabet transformations answered from the minterm-set memo.
         minterm_hits: usize,
@@ -231,10 +178,6 @@ hat_sfa::counters! {
         /// Shared-tier shard-lock acquisitions, across every record kind. Per-worker local
         /// tiers exist to keep this flat while hit counts grow.
         lock_acquisitions: usize,
-        /// Disk-tier lock acquisitions (read-through fallbacks and promotions). The
-        /// background LSM thread never contributes here — asserted in
-        /// `engine/tests/tiers.rs`.
-        disk_lock_acquisitions: usize,
     }
 }
 
@@ -255,8 +198,8 @@ impl CacheStatsSnapshot {
 /// [`MemoStore::stats`].
 #[derive(Debug, Default)]
 struct CacheCounters {
-    hits: [AtomicUsize; 6],
-    misses: [AtomicUsize; 6],
+    hits: [AtomicUsize; 4],
+    misses: [AtomicUsize; 4],
     disk_loaded: AtomicUsize,
     stale: AtomicUsize,
 }
@@ -364,27 +307,14 @@ impl Drop for CacheLock {
     }
 }
 
-/// The result of one [`MemoStore::compact`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Segment bytes before the pass.
-    pub bytes_before: u64,
-    /// Segment bytes after the pass.
-    pub bytes_after: u64,
-    /// Record lines across live segments before the pass.
-    pub records_before: usize,
-    /// Record lines after the pass — exactly the live entries.
-    pub records_after: usize,
-}
-
-/// What a read-only scan of a cache (manifest + segments) found (CLI: `marple cache
-/// stats`). Never takes the writer lock, so it works — and prints honest numbers —
-/// while a daemon owns the store.
+/// What a read-only scan of a store file found (CLI: `marple cache stats`). Never takes
+/// the writer lock, so it works — and prints honest numbers — while a daemon owns the
+/// store.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheFileStats {
     /// The header line, when the file is non-empty.
     pub header: Option<String>,
-    /// The format version, when the header is a known `hat-engine-cache` header.
+    /// The format version (7), when the header is the v7 header.
     pub version: Option<u32>,
     /// Live (first-occurrence, well-formed) solver-verdict records.
     pub solver: usize,
@@ -394,26 +324,23 @@ pub struct CacheFileStats {
     pub shape: usize,
     /// Live minterm-set records.
     pub minterms: usize,
-    /// Records in `T` segments the manifest still names. Only a store last written by
-    /// a binary that persisted transitions has any: they are never read, count as
-    /// neither live nor dead, and the next locked open drops them.
+    /// Retired, always 0: no store this binary reads holds `T` records. It stays only
+    /// because the repository benchmark's helper reads it.
     pub transitions: usize,
-    /// Records in `U` segments the manifest still names, on the same terms as
-    /// [`transitions`](CacheFileStats::transitions). Both counts are retired: they
-    /// stay only because the repository benchmark's helper reads them.
+    /// Retired, always 0, like [`transitions`](CacheFileStats::transitions).
     pub subsumption: usize,
-    /// Records whose key already occurred in a newer segment or earlier line
-    /// (superseded — compaction drops them).
+    /// Records whose key already occurred on an earlier line (the next write drops
+    /// them).
     pub duplicates: usize,
-    /// Lines that parse under no record grammar, plus the claimed records of torn
-    /// segments (compaction drops them).
+    /// Lines that parse under no record grammar (the next write drops them).
     pub malformed: usize,
-    /// Segment files named by the manifest.
+    /// 1 for a v7 file; 0 otherwise. The name is retired (the log-structured store
+    /// counted its segment files here); it stays because the benchmark's helper reads
+    /// it.
     pub segments: usize,
-    /// Segments named by the manifest but missing, header-mismatched or truncated —
-    /// every record in them degrades to cold.
+    /// 1 when a v7 file fails its checksum (its records degrade to cold); 0 otherwise.
     pub torn_segments: usize,
-    /// Manifest plus the bytes of the segments read (a foreign file: its size).
+    /// The file's size.
     pub bytes: u64,
 }
 
@@ -438,11 +365,10 @@ impl CacheFileStats {
         }
     }
 
-    /// Tallies one record line, deduplicating against the keys already `seen` per kind
-    /// (newest segment first).
-    fn tally(&mut self, line: &str, seen: &mut [HashSet<String>; 6]) {
+    /// Tallies one record line, deduplicating against the keys already `seen` per kind.
+    fn tally<'a>(&mut self, line: &'a str, seen: &mut [HashSet<&'a str>; 4]) {
         match parse_record(line) {
-            Some((kind, key, _)) if seen[kind as usize].insert(key.to_string()) => {
+            Some((kind, key, _)) if seen[kind as usize].insert(key) => {
                 *self.count_mut(kind) += 1;
             }
             Some(_) => self.duplicates += 1,
@@ -456,33 +382,29 @@ impl CacheFileStats {
             RecordKind::Inclusion => &mut self.inclusion,
             RecordKind::Shape => &mut self.shape,
             RecordKind::Minterms => &mut self.minterms,
-            RecordKind::Transition => &mut self.transitions,
-            RecordKind::Subsumption => &mut self.subsumption,
         }
     }
 }
 
-/// The concurrent tiered memo store shared by every worker of a verification run: the
-/// shared-tier and disk-tier levels of the hierarchy (workers add their own local tier
-/// in front; see [`crate::tier`]), plus the LSM write path that makes fresh records
-/// durable (see [`crate::lsm`]).
+/// The concurrent memo store shared by every worker of a verification run: the shared
+/// tier of the hierarchy (workers add their own local tier in front; see
+/// [`crate::tier`]), plus the store file that makes it durable across runs (see
+/// [`crate::store_file`]).
 pub struct MemoStore {
     /// One shared tier per kind, indexed by `kind as usize`.
-    shared: [SharedTier<MemoValue>; 6],
-    /// One disk tier per kind: the image of the segment stack, replayed at open.
-    disk: [DiskTier<MemoValue>; 6],
-    /// Declared before `lock`: struct fields drop in declaration order, so the LSM
-    /// backend drains its memtable and joins its background thread while the
-    /// single-writer lock is still held.
-    lsm: Option<Lsm>,
+    shared: [SharedTier<MemoValue>; 4],
+    /// Present when this store owns its file: it holds the lock and the file is not
+    /// foreign. Degraded, foreign and in-memory stores never write.
+    writer: Option<Writer>,
     /// Held for the lifetime of a disk-backed store; releasing it (drop) lets the next
-    /// opener write.
+    /// opener write. [`Drop`] writes the file before the fields drop, so while the lock
+    /// is still held.
     #[allow(dead_code)]
     lock: Option<CacheLock>,
     path: Option<PathBuf>,
     /// Set when another live process held the store's lock at open time: the store
     /// loaded what it could read-only and runs in-memory, never writing to the
-    /// contested files.
+    /// contested file.
     degraded: bool,
     counters: CacheCounters,
 }
@@ -505,18 +427,6 @@ impl Default for MemoStore {
 }
 
 impl MemoStore {
-    fn empty() -> Self {
-        MemoStore {
-            shared: Default::default(),
-            disk: Default::default(),
-            lsm: None,
-            lock: None,
-            path: None,
-            degraded: false,
-            counters: CacheCounters::default(),
-        }
-    }
-
     /// A purely in-memory store (no persistence).
     ///
     /// ```
@@ -530,158 +440,89 @@ impl MemoStore {
     /// assert_eq!((stats.hits, stats.misses), (1, 1));
     /// ```
     pub fn in_memory() -> Self {
-        Self::empty()
+        MemoStore {
+            shared: Default::default(),
+            writer: None,
+            lock: None,
+            path: None,
+            degraded: false,
+            counters: CacheCounters::default(),
+        }
     }
 
-    /// A store backed by the LSM disk store at `path`, with the default
-    /// [`LsmConfig::from_env`] tuning. See [`MemoStore::with_disk_log_config`].
+    /// A store backed by the store file at `path`. See
+    /// [`MemoStore::with_disk_log_config`].
     pub fn with_disk_log(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Self::with_disk_log_config(path, LsmConfig::from_env())
+        Self::with_disk_log_config(path, LsmConfig)
     }
 
-    /// A store backed by the LSM disk store at `path` (`path` is the manifest;
-    /// segments live under `<path>.d/`). Existing segments are replayed into the disk
-    /// tiers (warm start) and fresh verdicts flow through the memtable to new segments.
-    /// Segments of the in-process kinds `T` and `U` are skipped unread; a locked open
-    /// drops them from the manifest and deletes their files.
-    /// A store whose replay found enough dead records gets an immediate compaction
-    /// nudge. A file whose header belongs to any other format version, older or newer,
-    /// is left untouched: the store runs in-memory only and counts the file as stale
-    /// (destroying data a newer binary wrote would be worse than running cold).
+    /// A store backed by the store file at `path`. The file is read whole, straight
+    /// into the shared tiers (warm start); [`MemoStore::flush`] writes it whole. A
+    /// missing or empty file is a fresh store, and nothing is written until a record
+    /// exists. A torn v7 file (failed checksum, truncated, not UTF-8) opens cold and is
+    /// replaced by the next write. A file whose first line is not the v7 header — an
+    /// older or newer format, the v6 manifest included — is left untouched: the store
+    /// runs in-memory only and counts the file as one stale entry (destroying data
+    /// another binary wrote would be worse than running cold). The retired
+    /// [`LsmConfig`] is read by nothing.
     ///
     /// Opening takes the sidecar lock `<path>.lock`. If another live process holds it,
-    /// this store **degrades to in-memory** (entries are still replayed read-only for a
-    /// warm start, but nothing is flushed, compacted or garbage-collected)
-    /// and [`MemoStore::degraded`] reports `true`.
+    /// this store **degrades to in-memory** (the file is still read for a warm start,
+    /// but never written) and [`MemoStore::degraded`] reports `true`.
     pub fn with_disk_log_config(
         path: impl AsRef<Path>,
-        config: LsmConfig,
+        _config: LsmConfig,
     ) -> std::io::Result<Self> {
-        let mut cache = Self::empty();
+        let mut cache = Self::in_memory();
         let path = path.as_ref();
         cache.path = Some(path.to_path_buf());
         let lock = CacheLock::acquire(path)?;
         if lock.is_none() {
             cache.degraded = true;
-            match Self::lock_holder(path) {
-                Some(holder) if holder.is_daemon() => {
-                    let reach = match &holder.service_addr {
-                        Some(addr) => format!("rerun with `--remote {addr}` to use its warm store"),
-                        None => {
-                            "rerun with `--remote <its address>` to use its warm store".to_string()
-                        }
-                    };
-                    eprintln!(
-                        "warning: cache `{}` is owned by a running marpled daemon (pid {}); \
-                         {reach} — this run keeps its verdicts in memory only",
-                        path.display(),
-                        holder.pid
-                    );
-                }
-                Some(holder) => eprintln!(
-                    "warning: cache `{}` is locked by another process (pid {}{}); this run \
-                     keeps its verdicts in memory only",
-                    path.display(),
-                    holder.pid,
-                    holder
-                        .name
-                        .as_deref()
-                        .map(|n| format!(", `{n}`"))
-                        .unwrap_or_default()
-                ),
-                None => eprintln!(
-                    "warning: cache `{}` is locked by another process; this run keeps its \
-                     verdicts in memory only",
-                    path.display()
-                ),
-            }
+            warn_locked(path);
         }
-        let mut duplicates = 0usize;
-        let mut stale_lines = 0usize;
-        let mut manifest = None;
-        let mut dropped_segments = false;
-        if path.exists() {
-            if let Some((mut state, malformed)) = lsm::read_manifest(path)? {
-                stale_lines += malformed;
-                // `T` and `U` segments of a store written when those kinds were persisted:
-                // never read, neither loaded nor stale. A locked open commits the
-                // manifest without them below, and `gc_orphans` unlinks their files.
-                let named = state.segments.len();
-                state.segments.retain(|s| s.kind.is_persisted());
-                dropped_segments = state.segments.len() < named;
-                let dir = lsm::segment_dir_for(path);
-                // Newest segment first, so the first occurrence of a key — the one
-                // `put_quiet` keeps — is the newest record.
-                let mut segments = state.segments.clone();
-                segments.sort_by_key(|s| std::cmp::Reverse(s.seq));
-                for meta in &segments {
-                    let scan = lsm::read_segment(&dir, meta);
-                    if scan.torn {
-                        // The whole segment degrades to cold: losing cache entries is
-                        // recoverable, trusting a half-written segment is not.
-                        stale_lines += meta.records;
-                        continue;
-                    }
-                    for line in &scan.lines {
-                        cache.replay(line, &mut duplicates, &mut stale_lines);
-                    }
-                }
-                manifest = Some(state);
-            } else if BufReader::new(File::open(path)?).lines().next().is_some() {
-                // Not a v6 manifest and not empty: a different format version (v5 and
-                // older included) or not a cache file at all. Do not write to it — and
-                // release the writer lock, since this store will never use it.
+        let bytes = match std::fs::read(path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
+        let mut image_bytes = 0;
+        match store_file::decode(&bytes) {
+            Contents::Fresh => {}
+            // Another format: never write to it, and release the writer lock, since
+            // this store will never use it.
+            Contents::Foreign => {
                 cache.counters.stale.fetch_add(1, Ordering::Relaxed);
                 return Ok(cache);
             }
+            // Losing cache entries is recoverable, trusting a damaged file is not.
+            Contents::Torn => {
+                cache.counters.stale.fetch_add(1, Ordering::Relaxed);
+            }
+            Contents::Intact(body) => {
+                body.lines().for_each(|line| cache.replay(line));
+                image_bytes = bytes.len() as u64;
+            }
         }
-        cache
-            .counters
-            .stale
-            .fetch_add(stale_lines, Ordering::Relaxed);
-        if cache.degraded {
-            // Another process owns the store: warm entries are loaded, but no writes,
-            // no compaction, no orphan GC.
-            return Ok(cache);
+        if !cache.degraded {
+            cache.writer = Some(Writer::new(path, image_bytes));
+            cache.lock = lock;
         }
-        // A missing or empty file gets the empty manifest up front, so the path always
-        // carries the v6 header — a pre-v6 binary opening it later sees a foreign
-        // version and safely runs in-memory instead of appending to a manifest. A
-        // manifest that named `T`/`U` segments is committed without them before
-        // `Lsm::start` collects their files as orphans.
-        let (state, commit) = match manifest {
-            Some(state) => (state, dropped_segments),
-            None => (ManifestState::default(), true),
-        };
-        if commit {
-            lsm::write_manifest(path, &state)?;
-        }
-        let lsm = Lsm::start(path, state, config)?;
-        // Dead records (cross-segment duplicates from merged runs, torn segments,
-        // malformed lines) past the threshold get the compaction nudge a CLI
-        // `cache compact` would give.
-        let dead = duplicates + stale_lines;
-        let live = cache.counters.disk_loaded.load(Ordering::Relaxed);
-        if dead >= AUTO_COMPACT_MIN_DEAD && dead * AUTO_COMPACT_RATIO >= live + dead {
-            let _ = lsm.compact();
-        }
-        cache.lsm = Some(lsm);
-        cache.lock = lock;
         Ok(cache)
     }
 
-    /// Replays one record line into the disk tier of its kind, counting it loaded,
-    /// duplicate (an earlier replayed line held the key) or stale (malformed).
-    fn replay(&self, line: &str, duplicates: &mut usize, stale: &mut usize) {
+    /// Replays one record line into the shared tier of its kind, uncounted (replay is
+    /// not contention), counting it loaded or — malformed — stale. A key an earlier
+    /// line already held is neither.
+    fn replay(&self, line: &str) {
         match parse_record(line) {
             Some((kind, key, value)) => {
-                if self.disk[kind as usize].put_quiet(key.to_string(), value) {
+                if self.shared[kind as usize].put_quiet(key.to_string(), value) {
                     self.counters.disk_loaded.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    *duplicates += 1;
                 }
             }
-            None => *stale += 1,
+            None => {
+                self.counters.stale.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -714,114 +555,41 @@ impl MemoStore {
         })
     }
 
-    /// Drains the memtable, then compacts only when some segment family has reached
-    /// the merge fan-in — i.e. when a compaction would actually do work. Returns
-    /// `Ok(None)` when the store is healthy (or in-memory / degraded — nothing to
-    /// compact then). A long-lived daemon calls this on graceful shutdown so the
-    /// segment stack it leaves behind is tidy without paying a merge on every exit.
-    pub fn compact_if_needed(&self) -> std::io::Result<Option<CompactionReport>> {
-        let Some(lsm) = &self.lsm else {
-            return Ok(None);
-        };
-        lsm.drain();
-        if lsm.wants_compaction() {
-            self.compact().map(Some)
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Scans the cache at `path` read-only — no lock taken, nothing written — and
-    /// reports per-kind live counts, dead records, segment counts and the header
-    /// version. Works while another process (e.g. a live daemon) owns the
-    /// store: the manifest and segments are immutable once written, so the worst a
-    /// concurrent commit can do is make the scan see the previous manifest, which was
-    /// equally honest.
+    /// Scans the store file at `path` read-only — no lock taken, nothing written — and
+    /// reports per-kind live counts, dead records, whether the file is torn, and the
+    /// header version. Works while another process (e.g. a live daemon) owns the store:
+    /// writes replace the file by an atomic rename, so the scan sees the previous file
+    /// or the next, each equally honest.
     pub fn inspect(path: impl AsRef<Path>) -> std::io::Result<CacheFileStats> {
-        let path = path.as_ref();
+        let bytes = std::fs::read(path)?;
         let mut stats = CacheFileStats {
-            bytes: std::fs::metadata(path)?.len(),
+            bytes: bytes.len() as u64,
             ..CacheFileStats::default()
         };
-        if let Some((state, malformed)) = lsm::read_manifest(path)? {
-            stats.version = Some(6);
-            stats.header = Some(lsm::MANIFEST_HEADER_V6.to_string());
-            stats.malformed += malformed;
-            stats.segments = state.segments.len();
-            let dir = lsm::segment_dir_for(path);
-            let mut segments = state.segments.clone();
-            segments.sort_by_key(|s| std::cmp::Reverse(s.seq));
-            let mut seen: [HashSet<String>; 6] = Default::default();
-            for meta in &segments {
-                if !meta.kind.is_persisted() {
-                    *stats.count_mut(meta.kind) += meta.records;
-                    continue;
-                }
-                let scan = lsm::read_segment(&dir, meta);
-                if scan.torn {
-                    stats.torn_segments += 1;
-                    stats.malformed += meta.records;
-                    continue;
-                }
-                stats.bytes += std::fs::metadata(dir.join(meta.file_name()))
-                    .map(|m| m.len())
-                    .unwrap_or(meta.bytes);
-                for line in &scan.lines {
-                    stats.tally(line, &mut seen);
-                }
+        match store_file::decode(&bytes) {
+            Contents::Fresh => return Ok(stats),
+            Contents::Foreign => {
+                // Nothing beyond the header is ours to judge.
+                let header = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+                stats.header = Some(String::from_utf8_lossy(header).into_owned());
+                return Ok(stats);
             }
-            return Ok(stats);
+            Contents::Torn => stats.torn_segments = 1,
+            Contents::Intact(body) => {
+                let mut seen: [HashSet<&str>; 4] = Default::default();
+                body.lines().for_each(|line| stats.tally(line, &mut seen));
+            }
         }
-        // A foreign file (v5 and older included): nothing beyond the header is ours to
-        // judge.
-        if let Some(Ok(header)) = BufReader::new(File::open(path)?).lines().next() {
-            stats.header = Some(header);
-        }
+        stats.header = Some(store_file::HEADER.to_string());
+        stats.version = Some(7);
+        stats.segments = 1;
         Ok(stats)
     }
 
-    /// Compacts the segment stack: drains the memtable, then asks the background
-    /// thread to merge every multi-segment family down to one segment — newest record
-    /// wins; duplicates, torn segments and malformed lines are gone. Blocks for the
-    /// outcome but never blocks concurrent readers or workers (the merge itself runs
-    /// on the background thread and takes no tier locks). Errors for an in-memory
-    /// store and for one that degraded at open (the contested store belongs to the
-    /// lock holder).
-    pub fn compact(&self) -> std::io::Result<CompactionReport> {
-        let Some(lsm) = &self.lsm else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                if self.degraded {
-                    "cache degraded to in-memory (log locked by another process)"
-                } else {
-                    "cache has no disk log to compact"
-                },
-            ));
-        };
-        let outcome = lsm.compact();
-        Ok(CompactionReport {
-            bytes_before: outcome.bytes_before,
-            bytes_after: outcome.bytes_after,
-            records_before: outcome.records_before,
-            records_after: outcome.records_after,
-        })
-    }
-
-    /// A snapshot of the LSM backend counters (rotations, flushes, merges, write
-    /// amplification), when this store writes to disk.
+    /// A snapshot of the write counters (whole-file writes and bytes), when this store
+    /// writes its file.
     pub fn lsm_stats(&self) -> Option<LsmStatsSnapshot> {
-        self.lsm.as_ref().map(|l| l.stats_snapshot())
-    }
-
-    /// A clone of the live manifest state (segment set), when this store writes to
-    /// disk.
-    pub fn manifest(&self) -> Option<ManifestState> {
-        self.lsm.as_ref().map(|l| l.state_snapshot())
-    }
-
-    /// Records buffered in the memtable, not yet rotated to the background thread.
-    pub fn memtable_records(&self) -> usize {
-        self.lsm.as_ref().map(|l| l.memtable_records()).unwrap_or(0)
+        self.writer.as_ref().map(Writer::stats)
     }
 
     /// Records a local-tier hit for `kind` in the store-wide hit counters, so snapshots
@@ -830,20 +598,10 @@ impl MemoStore {
         self.counters.hits[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Looks a record up: shared tier first, then read-through to the disk tier,
-    /// promoting (moving) a disk hit into the shared tier so each warm record pays its
-    /// disk-tier lock at most once. Counts a hit or a miss for `kind` either way.
+    /// Looks a record up in the shared tier (one counted shard lock), counting a hit or
+    /// a miss for `kind`.
     pub fn lookup(&self, kind: RecordKind, key: &str) -> Option<MemoValue> {
-        let shared = &self.shared[kind as usize];
-        let disk = &self.disk[kind as usize];
-        let found = shared.get(key).or_else(|| {
-            let found = disk.get(key)?;
-            // Promotion is replay-like bookkeeping, not new contention: uncounted in
-            // the shared tier. Racing promotions both write the same value.
-            shared.put_quiet(key.to_string(), found.clone());
-            disk.evict(key);
-            Some(found)
-        });
+        let found = self.shared[kind as usize].get(key);
         let counter = match found {
             Some(_) => &self.counters.hits[kind as usize],
             None => &self.counters.misses[kind as usize],
@@ -852,35 +610,44 @@ impl MemoStore {
         found
     }
 
-    /// Records a value in the shared tier of `kind`; when the insert is fresh, the kind
-    /// is one a warm run reads (not `T` or `U`) and this store writes to disk,
-    /// serialises the record and logs it to the LSM memtable. Racing inserts of the
-    /// same key are harmless: canonical keys determine their value. (An insert whose
-    /// key was never looked up can duplicate a record that sits un-promoted in the disk
-    /// tier — compaction drops such duplicates.)
+    /// Records a value in the shared tier of `kind`; when the insert is fresh and this
+    /// store writes its file, marks the store dirty so the next [`MemoStore::flush`]
+    /// writes it. Racing inserts of the same key are harmless: canonical keys determine
+    /// their value.
     pub fn insert(&self, kind: RecordKind, key: String, value: MemoValue) {
-        let fresh = self.shared[kind as usize].put(key.clone(), value.clone());
-        if let (true, Some(lsm)) = (fresh && kind.is_persisted(), &self.lsm) {
-            lsm.log(kind, &key, record_line(kind, &key, &value));
+        let fresh = self.shared[kind as usize].put(key, value);
+        if let (true, Some(writer)) = (fresh, &self.writer) {
+            writer.mark_dirty();
         }
     }
 
-    /// Drains the memtable to durable segments (called at the end of a run; also
-    /// happens on drop). Cheap when the memtable is empty.
+    /// Writes the store file — the image of the shared tiers, iterated uncounted — when
+    /// a fresh record arrived since the last write. Called at the end of every run and
+    /// on drop; a no-op for in-memory, degraded and foreign stores. When it returns,
+    /// every insert made before the call is on disk, unless the write failed: then it
+    /// warns, the previous file stays and the next call retries.
     pub fn flush(&self) {
-        if let Some(lsm) = &self.lsm {
-            lsm.drain();
+        if let Some(writer) = &self.writer {
+            writer.flush(|| self.image());
         }
     }
 
-    /// Number of cached verdicts (the four verdict kinds `S`, `I`, `D` and `U`; shared
-    /// and un-promoted disk entries together — promotion moves records between the
-    /// two, keeping the total stable).
+    /// Every record of the shared tiers as its record line, unsorted.
+    fn image(&self) -> Vec<String> {
+        let mut lines = Vec::new();
+        for kind in RecordKind::ALL {
+            self.shared[kind as usize]
+                .for_each(|key, value| lines.push(record_line(kind, key, value)));
+        }
+        lines
+    }
+
+    /// Number of cached verdicts (the three verdict kinds `S`, `I` and `D`).
     pub fn len(&self) -> usize {
         RecordKind::ALL
             .into_iter()
             .filter(|kind| kind.is_verdict())
-            .map(|kind| self.shared[kind as usize].len() + self.disk[kind as usize].len())
+            .map(|kind| self.shared[kind as usize].len())
             .sum()
     }
 
@@ -902,7 +669,6 @@ impl MemoStore {
             minterm_hits: hits(RecordKind::Minterms),
             minterm_misses: misses(RecordKind::Minterms),
             lock_acquisitions: self.shared.iter().map(SharedTier::lock_acquisitions).sum(),
-            disk_lock_acquisitions: self.disk.iter().map(DiskTier::lock_acquisitions).sum(),
         }
     }
 }
@@ -910,6 +676,41 @@ impl MemoStore {
 impl Drop for MemoStore {
     fn drop(&mut self) {
         self.flush();
+    }
+}
+
+/// Warns that the store at `path` is locked by another live process, naming the holder
+/// and, for a daemon, how to reach its warm store.
+fn warn_locked(path: &Path) {
+    match MemoStore::lock_holder(path) {
+        Some(holder) if holder.is_daemon() => {
+            let reach = match &holder.service_addr {
+                Some(addr) => format!("rerun with `--remote {addr}` to use its warm store"),
+                None => "rerun with `--remote <its address>` to use its warm store".to_string(),
+            };
+            eprintln!(
+                "warning: cache `{}` is owned by a running marpled daemon (pid {}); \
+                 {reach} — this run keeps its verdicts in memory only",
+                path.display(),
+                holder.pid
+            );
+        }
+        Some(holder) => eprintln!(
+            "warning: cache `{}` is locked by another process (pid {}{}); this run \
+             keeps its verdicts in memory only",
+            path.display(),
+            holder.pid,
+            holder
+                .name
+                .as_deref()
+                .map(|n| format!(", `{n}`"))
+                .unwrap_or_default()
+        ),
+        None => eprintln!(
+            "warning: cache `{}` is locked by another process; this run keeps its \
+             verdicts in memory only",
+            path.display()
+        ),
     }
 }
 
@@ -923,32 +724,25 @@ mod tests {
         p
     }
 
-    /// Removes a test store: manifest, sidecar lock, rename scratch and segment dir.
+    fn sidecar(path: &Path, suffix: &str) -> PathBuf {
+        let mut name = path.as_os_str().to_os_string();
+        name.push(suffix);
+        PathBuf::from(name)
+    }
+
+    /// Removes a test store: the file, its sidecar lock and its temporary file.
     fn cleanup(path: &Path) {
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_file(lock_path_for(path));
-        let _ = std::fs::remove_file(path.with_extension("compacting"));
-        let _ = std::fs::remove_dir_all(lsm::segment_dir_for(path));
+        let _ = std::fs::remove_file(sidecar(path, ".tmp"));
+        let _ = std::fs::remove_dir_all(sidecar(path, ".tmp"));
     }
 
-    /// Writes a v6 store by hand: one level-0 segment per entry of `segments`, holding
-    /// its record lines verbatim (malformed ones included), newest last, then the
-    /// manifest naming them all.
-    fn write_store(path: &Path, segments: &[(RecordKind, &[&str])]) {
-        let dir = lsm::segment_dir_for(path);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut state = ManifestState::default();
-        for (kind, lines) in segments {
-            let lines: Vec<(String, String)> = lines
-                .iter()
-                .map(|line| (String::new(), line.to_string()))
-                .collect();
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            let meta = lsm::write_segment(&dir, *kind, 0, 0, seq, &lines).unwrap();
-            state.segments.push(meta);
-        }
-        lsm::write_manifest(path, &state).unwrap();
+    /// Writes a v7 store file by hand, holding `lines` verbatim (malformed ones
+    /// included) under a valid checksum.
+    fn write_store(path: &Path, lines: &[&str]) {
+        let lines: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        store_file::write(path, &lines).unwrap();
     }
 
     #[test]
@@ -964,10 +758,6 @@ mod tests {
             stats.lock_acquisitions, 3,
             "two lookups and one insert are one shard lock each"
         );
-        assert_eq!(
-            stats.disk_lock_acquisitions, 1,
-            "only the miss fell through to the (empty) disk tier"
-        );
     }
 
     #[test]
@@ -978,19 +768,39 @@ mod tests {
             let cache = MemoStore::with_disk_log(&path).unwrap();
             cache.insert(RecordKind::Solver, "alpha".into(), true.into());
             cache.insert(RecordKind::Solver, "beta".into(), false.into());
+            assert!(!path.exists(), "nothing is written before the run ends");
             cache.flush();
+            cache.flush();
+            let writes = cache.lsm_stats().unwrap();
+            assert_eq!(writes.flushes, 1, "a clean store is not rewritten");
+            assert_eq!(writes.compactions, 0);
+            assert_eq!(writes.write_amplification(), 1.0);
         }
         let warm = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(warm.len(), 2);
         assert_eq!(warm.stats().disk_loaded, 2);
+        assert_eq!(
+            warm.stats().lock_acquisitions,
+            0,
+            "loading the file is uncounted"
+        );
         assert_eq!(warm.lookup(RecordKind::Solver, "alpha"), Some(true.into()));
         assert_eq!(warm.lookup(RecordKind::Solver, "beta"), Some(false.into()));
+        assert_eq!(
+            warm.stats().lock_acquisitions,
+            2,
+            "a warm lookup costs one shared get"
+        );
         assert_eq!(warm.stats().stale, 0);
         let contents = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            contents.starts_with(lsm::MANIFEST_HEADER_V6),
-            "the cache path is the v6 manifest, got: {contents:?}"
+        assert_eq!(
+            contents.lines().take(3).collect::<Vec<_>>(),
+            [store_file::HEADER, "S0\tbeta", "S1\talpha"],
+            "the header, then the record lines, sorted"
         );
+        assert!(contents.lines().last().unwrap().starts_with("end\t"));
+        assert!(!sidecar(&path, ".tmp").exists() && !sidecar(&path, ".d").exists());
+        drop(warm);
         cleanup(&path);
     }
 
@@ -1014,8 +824,8 @@ mod tests {
     #[test]
     fn unknown_header_is_ignored_and_left_untouched() {
         let path = temp_path("stale");
-        // A newer binary's header, and the flat-log headers of older binaries, which
-        // are no longer migrated: each is as foreign as the other.
+        // A newer binary's header, the v6 manifest, and the flat-log headers of older
+        // binaries: each is as foreign as the other.
         for header in [
             "hat-engine-cache v999",
             "hat-engine-cache v1",
@@ -1023,6 +833,7 @@ mod tests {
             "hat-engine-cache v3",
             "hat-engine-cache v4",
             "hat-engine-cache v5",
+            "hat-engine-cache v6",
         ] {
             cleanup(&path);
             let foreign = format!("{header}\nS1\tk\n");
@@ -1030,17 +841,67 @@ mod tests {
             let cache = MemoStore::with_disk_log(&path).unwrap();
             assert_eq!(cache.len(), 0, "{header}");
             assert_eq!(cache.stats().stale, 1, "{header}");
-            // The cache degrades to in-memory: inserts work but are not persisted, and
-            // the foreign file's contents survive byte for byte.
+            // The cache runs in-memory: inserts work but are not persisted, and the
+            // foreign file's contents survive byte for byte.
             cache.insert(RecordKind::Solver, "k2".into(), false.into());
             cache.flush();
+            assert!(cache.lsm_stats().is_none(), "{header}");
             drop(cache);
             assert_eq!(std::fs::read_to_string(&path).unwrap(), foreign);
-            assert!(
-                !lsm::segment_dir_for(&path).exists(),
-                "no segment directory may appear next to a foreign file ({header})"
+            assert!(!sidecar(&path, ".tmp").exists(), "{header}");
+        }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_v6_store_is_foreign_and_stays_byte_identical() {
+        let path = temp_path("v6-store");
+        let dir = sidecar(&path, ".d");
+        cleanup(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        // A manifest and two segments as the log-structured store laid them out.
+        std::fs::create_dir_all(&dir).unwrap();
+        let files = [
+            (
+                path.clone(),
+                "hat-engine-cache v6\nseq\t3\nseg\tS\t2\t0\t1\t1\t44\nseg\tM\t0\t1\t2\t1\t60\n",
+            ),
+            (
+                dir.join("S-p2-L0-00000001.seg"),
+                "hat-engine-segment v6\tS\t1\t0123456789abcdef\nS1\tsat|k\n",
+            ),
+            (
+                dir.join("M-p0-L1-00000002.seg"),
+                "hat-engine-segment v6\tM\t1\t0123456789abcdef\nM\tmt|k\tU0;M0;P0;Q0;\n",
+            ),
+        ];
+        for (file, text) in &files {
+            std::fs::write(file, text).unwrap();
+        }
+        {
+            let cache = MemoStore::with_disk_log(&path).unwrap();
+            assert!(!cache.degraded());
+            let stats = cache.stats();
+            assert_eq!((stats.disk_loaded, stats.stale), (0, 1));
+            assert_eq!(cache.lookup(RecordKind::Solver, "sat|k"), None);
+            cache.insert(RecordKind::Solver, "sat|fresh".into(), true.into());
+            cache.flush();
+        }
+        for (file, text) in &files {
+            assert_eq!(
+                std::fs::read_to_string(file).unwrap(),
+                *text,
+                "{} must stay byte-identical",
+                file.display()
             );
         }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        assert!(!sidecar(&path, ".tmp").exists());
+        assert!(!lock_path_for(&path).exists(), "the lock is released");
+        let stats = MemoStore::inspect(&path).unwrap();
+        assert_eq!(stats.version, None);
+        assert_eq!(stats.header.as_deref(), Some("hat-engine-cache v6"));
+        let _ = std::fs::remove_dir_all(&dir);
         cleanup(&path);
     }
 
@@ -1061,6 +922,7 @@ mod tests {
             warm.lookup(RecordKind::Shape, "shape|b"),
             Some(false.into())
         );
+        drop(warm);
         cleanup(&path);
     }
 
@@ -1085,6 +947,38 @@ mod tests {
             Some(true.into())
         );
         assert_eq!(cache.len(), 3);
+        // The same holds for records read back from a store file.
+        let path = temp_path("namespaces");
+        cleanup(&path);
+        write_store(
+            &path,
+            &[
+                "D1\tshared-key",
+                "I0\tshared-key",
+                "M\tshared-key\tU0;M0;P0;Q0;",
+                "S1\tshared-key",
+            ],
+        );
+        let warm = MemoStore::with_disk_log(&path).unwrap();
+        assert_eq!(warm.stats().disk_loaded, 4);
+        assert_eq!(
+            warm.lookup(RecordKind::Solver, "shared-key"),
+            Some(true.into())
+        );
+        assert_eq!(
+            warm.lookup(RecordKind::Inclusion, "shared-key"),
+            Some(false.into())
+        );
+        assert_eq!(
+            warm.lookup(RecordKind::Shape, "shared-key"),
+            Some(true.into())
+        );
+        assert_eq!(
+            warm.lookup(RecordKind::Minterms, "shared-key"),
+            Some(MintermSet::default().into())
+        );
+        drop(warm);
+        cleanup(&path);
     }
 
     #[test]
@@ -1103,6 +997,7 @@ mod tests {
             Some(true.into())
         );
         assert_eq!(warm.lookup(RecordKind::Solver, "sat|b"), Some(false.into()));
+        drop(warm);
         cleanup(&path);
     }
 
@@ -1141,6 +1036,7 @@ mod tests {
         assert_eq!(replayed.uniform_literals, set.uniform_literals);
         assert_eq!(warm.stats().stale, 0);
         assert_eq!(warm.stats().disk_loaded, 1);
+        drop(warm);
         cleanup(&path);
     }
 
@@ -1148,13 +1044,8 @@ mod tests {
     fn torn_minterm_payload_degrades_to_a_cold_entry() {
         let path = temp_path("torn-minterm");
         cleanup(&path);
-        write_store(
-            &path,
-            &[
-                (RecordKind::Solver, &["S1\tgood"]),
-                (RecordKind::Minterms, &["M\tmt|x\tU0;M1;O3#put"]),
-            ],
-        );
+        // The checksum is valid: only the record grammar can reject the payload.
+        write_store(&path, &["M\tmt|x\tU0;M1;O3#put", "S1\tgood"]);
         let cache = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(cache.lookup(RecordKind::Solver, "good"), Some(true.into()));
         assert!(
@@ -1162,141 +1053,7 @@ mod tests {
             "a torn payload must not produce a wrong alphabet"
         );
         assert_eq!(cache.stats().stale, 1);
-        cleanup(&path);
-    }
-
-    #[test]
-    fn subsumption_memos_stay_in_process() {
-        let path = temp_path("in-process-kinds");
-        cleanup(&path);
-        {
-            let cache = MemoStore::with_disk_log(&path).unwrap();
-            cache.insert(RecordKind::Subsumption, "sub|x".into(), true.into());
-            assert_eq!(cache.memtable_records(), 0, "`U` records are not logged");
-            assert_eq!(
-                cache.lookup(RecordKind::Subsumption, "sub|x"),
-                Some(true.into())
-            );
-        }
-        let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup(RecordKind::Subsumption, "sub|x"), None);
-        assert_eq!((warm.stats().disk_loaded, warm.stats().stale), (0, 0));
-        assert!(warm.manifest().unwrap().segments.is_empty());
-        drop(warm);
-        let stats = MemoStore::inspect(&path).unwrap();
-        assert_eq!(
-            (stats.transitions, stats.subsumption, stats.live()),
-            (0, 0, 0)
-        );
-        cleanup(&path);
-    }
-
-    /// Writes a store the way binaries that persisted `T` and `U` left it: one
-    /// segment for each of the six kinds, under the three-field segment header
-    /// (no checksum) those binaries wrote.
-    fn write_store_with_retired_kinds(path: &Path) {
-        write_store(
-            path,
-            &[
-                (RecordKind::Solver, &["S1\tsat|k"]),
-                (RecordKind::Inclusion, &["I0\tincl|k"]),
-                (RecordKind::Shape, &["D1\tshape|k"]),
-                (RecordKind::Minterms, &["M\tmt|k\tU0;M0;P0;Q0;"]),
-                (RecordKind::Transition, &["T\ttr|k\tZ", "T\ttr|j\tE"]),
-                (RecordKind::Subsumption, &["U1\tsub|k"]),
-            ],
-        );
-        for entry in std::fs::read_dir(lsm::segment_dir_for(path)).unwrap() {
-            let file = entry.unwrap().path();
-            let text = std::fs::read_to_string(&file).unwrap();
-            let (header, body) = text.split_once('\n').unwrap();
-            let (legacy, _checksum) = header.rsplit_once('\t').unwrap();
-            std::fs::write(&file, format!("{legacy}\n{body}")).unwrap();
-        }
-    }
-
-    /// Every file of a store — manifest and segment directory — by name, with its bytes.
-    fn store_files(path: &Path) -> Vec<(String, Vec<u8>)> {
-        let dir = lsm::segment_dir_for(path);
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .map(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                (name, std::fs::read(e.path()).unwrap())
-            })
-            .collect();
-        files.sort();
-        files.push(("<manifest>".into(), std::fs::read(path).unwrap()));
-        files
-    }
-
-    /// Asserts what every open of [`write_store_with_retired_kinds`]'s store serves:
-    /// nothing. Its `T` and `U` segments are skipped unread, and its `S`/`I`/`D`/`M`
-    /// segments carry no checksum, so they read as torn and their four records count
-    /// as stale: a store that old opens cold.
-    fn assert_serves_nothing(cache: &MemoStore) {
-        let stats = cache.stats();
-        assert_eq!((stats.disk_loaded, stats.stale), (0, 4));
-        assert_eq!(cache.lookup(RecordKind::Solver, "sat|k"), None);
-        assert_eq!(cache.lookup(RecordKind::Inclusion, "incl|k"), None);
-        assert_eq!(cache.lookup(RecordKind::Shape, "shape|k"), None);
-        assert!(cache.lookup(RecordKind::Minterms, "mt|k").is_none());
-        assert_eq!(cache.lookup(RecordKind::Transition, "tr|k"), None);
-        assert_eq!(cache.lookup(RecordKind::Subsumption, "sub|k"), None);
-    }
-
-    #[test]
-    fn a_locked_open_drops_retired_transition_and_subsumption_segments() {
-        let path = temp_path("retired-kinds");
-        cleanup(&path);
-        write_store_with_retired_kinds(&path);
-        let before = MemoStore::inspect(&path).unwrap();
-        assert_eq!((before.transitions, before.subsumption), (2, 1));
-        assert_eq!((before.live(), before.torn_segments), (0, 4));
-        {
-            let cache = MemoStore::with_disk_log(&path).unwrap();
-            assert!(!cache.degraded());
-            assert_serves_nothing(&cache);
-            let manifest = cache.manifest().unwrap();
-            assert_eq!(manifest.segments.len(), 4);
-            assert!(manifest.segments.iter().all(|s| s.kind.is_persisted()));
-        }
-        let (on_disk, _) = lsm::read_manifest(&path).unwrap().expect("v6 manifest");
-        assert!(
-            on_disk.segments.iter().all(|s| s.kind.is_persisted()),
-            "the committed manifest names no `T` or `U` segment: {on_disk:?}"
-        );
-        let names: Vec<String> = store_files(&path).into_iter().map(|f| f.0).collect();
-        assert!(
-            !names
-                .iter()
-                .any(|n| n.starts_with("T-") || n.starts_with("U-")),
-            "the retired segment files are unlinked: {names:?}"
-        );
-        let after = MemoStore::inspect(&path).unwrap();
-        assert_eq!((after.transitions, after.subsumption), (0, 0));
-        assert_eq!((after.live(), after.torn_segments), (0, 4));
-        cleanup(&path);
-    }
-
-    #[test]
-    fn a_degraded_open_skips_retired_segments_and_leaves_every_file_alone() {
-        let path = temp_path("retired-kinds-degraded");
-        cleanup(&path);
-        write_store_with_retired_kinds(&path);
-        // This process is alive, so its PID in the lock file makes the open degrade.
-        std::fs::write(lock_path_for(&path), std::process::id().to_string()).unwrap();
-        let before = store_files(&path);
-        let cache = MemoStore::with_disk_log(&path).unwrap();
-        assert!(cache.degraded());
-        assert_serves_nothing(&cache);
         drop(cache);
-        assert_eq!(
-            store_files(&path),
-            before,
-            "a degraded open must leave the manifest and the segment files byte-identical"
-        );
         cleanup(&path);
     }
 
@@ -1309,19 +1066,19 @@ mod tests {
         first.flush();
         assert!(!first.degraded());
         // A second store on the same path (another process in real life) must not
-        // write — two writers would race the manifest and the memtable.
+        // write — two writers would race the file.
         let second = MemoStore::with_disk_log(&path).unwrap();
         assert!(second.degraded(), "the lock is held by `first`");
         assert_eq!(
             second.lookup(RecordKind::Solver, "sat|k1"),
             Some(true.into()),
-            "a degraded opener still warm-starts from the segments"
+            "a degraded opener still warm-starts from the file"
         );
         second.insert(RecordKind::Solver, "sat|k2".into(), false.into());
         second.flush();
         assert!(
-            second.compact().is_err(),
-            "a degraded store must not rewrite the contested store"
+            second.lsm_stats().is_none(),
+            "a degraded store has no writer"
         );
         drop(second);
         drop(first);
@@ -1336,6 +1093,84 @@ mod tests {
             None,
             "the degraded store's inserts were memory-only"
         );
+        drop(reopened);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_degraded_open_writes_nothing() {
+        let path = temp_path("degraded-writes-nothing");
+        cleanup(&path);
+        write_store(&path, &["S1\tsat|k"]);
+        let before = std::fs::read(&path).unwrap();
+        // This process is alive, so its PID in the lock file makes the open degrade.
+        std::fs::write(lock_path_for(&path), std::process::id().to_string()).unwrap();
+        {
+            let cache = MemoStore::with_disk_log(&path).unwrap();
+            assert!(cache.degraded());
+            assert_eq!(cache.lookup(RecordKind::Solver, "sat|k"), Some(true.into()));
+            cache.insert(RecordKind::Solver, "sat|fresh".into(), false.into());
+            cache.flush();
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert!(!sidecar(&path, ".tmp").exists());
+        // Nor does it create a file where there was none.
+        std::fs::remove_file(&path).unwrap();
+        let cache = MemoStore::with_disk_log(&path).unwrap();
+        cache.insert(RecordKind::Solver, "sat|fresh".into(), false.into());
+        drop(cache);
+        assert!(!path.exists());
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_failed_write_keeps_the_previous_file() {
+        let path = temp_path("failed-write");
+        cleanup(&path);
+        write_store(&path, &["S1\tsat|old"]);
+        let before = std::fs::read(&path).unwrap();
+        let cache = MemoStore::with_disk_log(&path).unwrap();
+        cache.insert(RecordKind::Solver, "sat|new".into(), false.into());
+        // A directory where the temporary file must go makes the write fail.
+        std::fs::create_dir(sidecar(&path, ".tmp")).unwrap();
+        cache.flush();
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(cache.lsm_stats().unwrap().flushes, 0);
+        // The store stays dirty, so the next flush retries and lands.
+        std::fs::remove_dir(sidecar(&path, ".tmp")).unwrap();
+        cache.flush();
+        assert_eq!(cache.lsm_stats().unwrap().flushes, 1);
+        drop(cache);
+        let warm = MemoStore::with_disk_log(&path).unwrap();
+        assert_eq!(warm.stats().disk_loaded, 2);
+        assert_eq!(
+            warm.lookup(RecordKind::Solver, "sat|new"),
+            Some(false.into())
+        );
+        drop(warm);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn drop_writes_fresh_records() {
+        let path = temp_path("drop-writes");
+        cleanup(&path);
+        {
+            let cache = MemoStore::with_disk_log(&path).unwrap();
+            cache.insert(RecordKind::Inclusion, "incl|x".into(), true.into());
+            cache.insert(
+                RecordKind::Minterms,
+                "mt|y".into(),
+                MintermSet::default().into(),
+            );
+        }
+        let warm = MemoStore::with_disk_log(&path).unwrap();
+        assert_eq!(warm.stats().disk_loaded, 2);
+        assert_eq!(
+            warm.lookup(RecordKind::Inclusion, "incl|x"),
+            Some(true.into())
+        );
+        drop(warm);
         cleanup(&path);
     }
 
@@ -1360,154 +1195,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_cross_segment_duplicates_and_keeps_every_live_record() {
-        let path = temp_path("compact");
-        cleanup(&path);
-        {
-            let cache = MemoStore::with_disk_log(&path).unwrap();
-            for i in 0..10 {
-                cache.insert(RecordKind::Solver, format!("sat|k{i}"), true.into());
-            }
-        }
-        {
-            // Second session: re-insert the same keys *without looking them up* — the
-            // warm copies sit un-promoted in the disk tier, so the shared-tier inserts
-            // are fresh and logged again, duplicating each record across segments.
-            let cache = MemoStore::with_disk_log(&path).unwrap();
-            for i in 0..10 {
-                cache.insert(RecordKind::Solver, format!("sat|k{i}"), true.into());
-            }
-        }
-        let stats = MemoStore::inspect(&path).unwrap();
-        assert_eq!(stats.version, Some(6));
-        assert_eq!((stats.solver, stats.duplicates), (10, 10));
-        {
-            let cache = MemoStore::with_disk_log(&path).unwrap();
-            let report = cache.compact().unwrap();
-            assert_eq!(report.records_after, 10);
-            assert!(report.records_before > report.records_after);
-            assert!(report.bytes_after < report.bytes_before);
-            // Inserts after the compaction pass land in fresh segments.
-            cache.insert(RecordKind::Solver, "sat|fresh".into(), true.into());
-        }
-        let stats = MemoStore::inspect(&path).unwrap();
-        assert_eq!((stats.duplicates, stats.malformed), (0, 0));
-        assert_eq!(stats.live(), 11);
-        let warm = MemoStore::with_disk_log(&path).unwrap();
-        for i in 0..10 {
-            assert_eq!(
-                warm.lookup(RecordKind::Solver, &format!("sat|k{i}")),
-                Some(true.into())
-            );
-        }
-        assert_eq!(
-            warm.lookup(RecordKind::Solver, "sat|fresh"),
-            Some(true.into())
-        );
-        cleanup(&path);
-    }
-
-    #[test]
-    fn dead_records_past_the_threshold_compact_automatically() {
-        let path = temp_path("auto-compact");
-        cleanup(&path);
-        for _ in 0..2 {
-            let cache = MemoStore::with_disk_log(&path).unwrap();
-            for i in 0..AUTO_COMPACT_MIN_DEAD {
-                cache.insert(RecordKind::Solver, format!("sat|d{i}"), true.into());
-            }
-        }
-        // The third open replays 16 live + 16 duplicate records: over the 1-in-4
-        // ratio, so it nudges the compactor before returning.
-        drop(MemoStore::with_disk_log(&path).unwrap());
-        let stats = MemoStore::inspect(&path).unwrap();
-        assert_eq!(
-            stats.duplicates, 0,
-            "opening must have merged the duplicate records away"
-        );
-        assert_eq!(stats.live(), AUTO_COMPACT_MIN_DEAD);
-        let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.lookup(RecordKind::Solver, "sat|d0"), Some(true.into()));
-        cleanup(&path);
-    }
-
-    #[test]
-    fn a_few_dead_records_do_not_trigger_auto_compaction() {
-        let path = temp_path("no-auto-compact");
-        cleanup(&path);
-        for _ in 0..2 {
-            let cache = MemoStore::with_disk_log(&path).unwrap();
-            cache.insert(RecordKind::Solver, "sat|k1".into(), true.into());
-        }
-        drop(MemoStore::with_disk_log(&path).unwrap());
-        assert_eq!(
-            MemoStore::inspect(&path).unwrap().duplicates,
-            1,
-            "below the threshold the segments are left as-is"
-        );
-        cleanup(&path);
-    }
-
-    #[test]
-    fn warm_lookups_promote_out_of_the_disk_tier() {
-        let path = temp_path("promote");
-        cleanup(&path);
-        {
-            let cache = MemoStore::with_disk_log(&path).unwrap();
-            for i in 0..3 {
-                cache.insert(RecordKind::Solver, format!("sat|p{i}"), true.into());
-            }
-            cache.insert(
-                RecordKind::Minterms,
-                "mt|p".into(),
-                MintermSet::default().into(),
-            );
-        }
-        let warm = MemoStore::with_disk_log(&path).unwrap();
-        assert_eq!(warm.len(), 3);
-        assert_eq!(
-            warm.stats().disk_lock_acquisitions,
-            0,
-            "replay is uncounted"
-        );
-        assert_eq!(warm.lookup(RecordKind::Solver, "sat|p0"), Some(true.into()));
-        let after = warm.stats();
-        assert_eq!(
-            after.disk_lock_acquisitions, 2,
-            "one read-through get plus one promotion evict"
-        );
-        assert_eq!(
-            warm.len(),
-            3,
-            "promotion moves records, never duplicates them"
-        );
-        // The promoted key is now served by the shared tier: disk locks stay flat.
-        assert_eq!(warm.lookup(RecordKind::Solver, "sat|p0"), Some(true.into()));
-        assert_eq!(warm.stats().disk_lock_acquisitions, 2);
-        // A minterm set takes the same path as a verdict.
-        assert_eq!(
-            warm.lookup(RecordKind::Minterms, "mt|p"),
-            Some(MintermSet::default().into())
-        );
-        assert_eq!(
-            warm.stats().disk_lock_acquisitions,
-            4,
-            "one read-through get plus one promotion evict"
-        );
-        assert_eq!(
-            warm.lookup(RecordKind::Minterms, "mt|p"),
-            Some(MintermSet::default().into())
-        );
-        assert_eq!(warm.stats().disk_lock_acquisitions, 4);
-        assert_eq!(
-            (warm.stats().minterm_hits, warm.stats().minterm_misses),
-            (2, 0)
-        );
-        cleanup(&path);
-    }
-
-    #[test]
-    fn inspect_reads_a_live_v6_store_without_its_lock() {
+    fn inspect_reads_a_live_store_without_its_lock() {
         let path = temp_path("inspect-live");
         cleanup(&path);
         let cache = MemoStore::with_disk_log(&path).unwrap();
@@ -1522,11 +1210,12 @@ mod tests {
         // block, nor degrade anything, nor touch the lock.
         assert!(lock_path_for(&path).exists());
         let stats = MemoStore::inspect(&path).unwrap();
-        assert_eq!(stats.version, Some(6));
+        assert_eq!(stats.version, Some(7));
+        assert_eq!(stats.header.as_deref(), Some(store_file::HEADER));
         assert_eq!((stats.solver, stats.minterms), (1, 1));
-        assert!(stats.segments >= 1);
-        assert_eq!(stats.torn_segments, 0);
-        assert!(stats.bytes > 0);
+        assert_eq!((stats.segments, stats.torn_segments), (1, 0));
+        assert_eq!((stats.transitions, stats.subsumption), (0, 0));
+        assert_eq!(stats.bytes, std::fs::metadata(&path).unwrap().len());
         assert!(!cache.degraded());
         assert!(lock_path_for(&path).exists(), "inspect left the lock alone");
         drop(cache);
@@ -1535,33 +1224,37 @@ mod tests {
 
     #[test]
     fn torn_segment_degrades_to_cold_not_corrupt() {
-        let path = temp_path("torn-segment");
+        let path = temp_path("torn-file");
         cleanup(&path);
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
             cache.insert(RecordKind::Solver, "sat|solo".into(), true.into());
         }
-        // Simulate a crash that mangled the segment after the manifest named it.
-        let (state, _) = lsm::read_manifest(&path).unwrap().expect("v6 manifest");
-        assert_eq!(state.segments.len(), 1);
-        let seg_file = lsm::segment_dir_for(&path).join(state.segments[0].file_name());
-        std::fs::write(&seg_file, "garbage").unwrap();
+        // A media fault flips the verdict: the record still parses, so only the
+        // checksum can tell.
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("S1\tsat|solo", "S0\tsat|solo")).unwrap();
+        let stats = MemoStore::inspect(&path).unwrap();
+        assert_eq!((stats.torn_segments, stats.live()), (1, 0));
         {
             let warm = MemoStore::with_disk_log(&path).unwrap();
             assert_eq!(
                 warm.lookup(RecordKind::Solver, "sat|solo"),
                 None,
-                "a torn segment is cold, never half-trusted"
+                "a torn file is cold, never half-trusted"
             );
-            assert_eq!(warm.stats().stale, 1, "the torn segment's record is stale");
+            assert_eq!(warm.stats().stale, 1, "the torn file counts once");
             assert!(!warm.degraded());
             warm.insert(RecordKind::Solver, "sat|recovered".into(), true.into());
         }
+        // The next write replaced the torn file.
         let warm = MemoStore::with_disk_log(&path).unwrap();
+        assert_eq!(warm.stats().stale, 0);
         assert_eq!(
             warm.lookup(RecordKind::Solver, "sat|recovered"),
             Some(true.into())
         );
+        drop(warm);
         cleanup(&path);
     }
 
@@ -1572,18 +1265,18 @@ mod tests {
         write_store(
             &path,
             &[
-                (RecordKind::Solver, &["S1\tsat|k1", "S0\tsat|k2"]),
-                (RecordKind::Solver, &["S1\tsat|k1", "torn-line"]),
-                (RecordKind::Inclusion, &["I1\tincl|k3"]),
-                (RecordKind::Shape, &["D0\tshape|k4"]),
-                (
-                    RecordKind::Minterms,
-                    &["M\tmt|k5\tU0;M0;P0;Q0;", "M\tmt|k6\tU0;M1;O3#put"],
-                ),
+                "S1\tsat|k1",
+                "S0\tsat|k2",
+                "S1\tsat|k1",
+                "torn-line",
+                "I1\tincl|k3",
+                "D0\tshape|k4",
+                "M\tmt|k5\tU0;M0;P0;Q0;",
+                "M\tmt|k6\tU0;M1;O3#put",
             ],
         );
         let stats = MemoStore::inspect(&path).unwrap();
-        assert_eq!(stats.version, Some(6));
+        assert_eq!(stats.version, Some(7));
         assert_eq!(stats.solver, 2);
         assert_eq!(stats.inclusion, 1);
         assert_eq!(stats.shape, 1);
@@ -1596,6 +1289,14 @@ mod tests {
         // Inspection is read-only: same result twice, no lock left behind.
         assert_eq!(MemoStore::inspect(&path).unwrap(), stats);
         assert!(!lock_path_for(&path).exists());
+        // A write is the image of the shared tier: the dead records are gone.
+        {
+            let cache = MemoStore::with_disk_log(&path).unwrap();
+            assert_eq!((cache.stats().disk_loaded, cache.stats().stale), (5, 2));
+            cache.insert(RecordKind::Solver, "sat|k7".into(), true.into());
+        }
+        let rewritten = MemoStore::inspect(&path).unwrap();
+        assert_eq!((rewritten.live(), rewritten.dead()), (6, 0));
         cleanup(&path);
     }
 

@@ -564,7 +564,7 @@ fn fnv1a64(s: &str, offset_basis: u64) -> u64 {
 
 /// Serialises a user-supplied name with a length prefix, so names containing the key's
 /// delimiter characters cannot forge a different key. Control characters (and the escape
-/// character itself) are escaped so keys never contain tabs or newlines — the disk-log
+/// character itself) are escaped so keys never contain tabs or newlines — the store-file
 /// format (`<verdict>\t<key>\n` lines) depends on that invariant; the length prefix
 /// counts the escaped form, which keeps the encoding injective.
 fn ser_name(n: &str, out: &mut String) {
@@ -832,7 +832,7 @@ mod tests {
 
     #[test]
     fn control_characters_in_names_are_escaped_out_of_keys() {
-        // The disk log stores one `<verdict>\t<key>\n` record per line, so keys must never
+        // The store file holds one `<verdict>\t<key>\n` record per line, so keys must never
         // contain raw tabs or newlines, and the escaping must stay injective.
         let f = Formula::pred("p\n1\tinjected", vec![]);
         let k = key(&[], &f);

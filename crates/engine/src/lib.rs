@@ -21,11 +21,11 @@
 //! verdict is a pure function of its key — which is why `--jobs N` produces verdicts
 //! identical to a sequential run no matter how the cache interleaves.
 //!
-//! Each key is served by a three-level tier stack ([`tier`]), instantiated once per
-//! record kind in the [`MemoStore`]: a worker-local lock-free map (read-through, hits
-//! promoted on the way back — this is what keeps shard-lock traffic flat under
-//! `--jobs N`), the shared sharded map, and the disk tier replayed from the segment
-//! store. All six record kinds take this one path, with one [`MemoValue`] type.
+//! Each key is served by a two-level tier stack ([`tier`]) above the store file,
+//! instantiated once per record kind in the [`MemoStore`]: a worker-local lock-free map
+//! (read-through, hits promoted on the way back — this is what keeps shard-lock traffic
+//! flat under `--jobs N`) and the shared sharded map, which opening a store fills from
+//! its file. All four record kinds take this one path, with one [`MemoValue`] type.
 //!
 //! ## Memo hierarchy
 //!
@@ -38,22 +38,17 @@
 //! level. Nothing beneath the walk is memoised: each walk derives in its own residual
 //! arena.
 //!
-//! ## Disk store (LSM)
+//! ## Store file
 //!
 //! With [`EngineConfig::cache_path`] set, solver, inclusion, shape and minterm-set
-//! records flow through an LSM-structured store (`hat-engine-cache v6`): writes land
-//! in an in-memory memtable that rotates at a size threshold into frozen tables,
-//! which a dedicated background thread flushes as sorted, fingerprint-partitioned,
-//! per-kind segment files under `<path>.d/` — the cache path itself holds only the
-//! manifest naming the live segments. The same thread merges segment families
-//! levelled-up and drops dead records, so compaction never blocks a reader or a
-//! scheduler worker. The record grammar, single-writer locking, crash-consistency
-//! and foreign-file rules are specified in `docs/CACHE_FORMAT.md` and summarised in
-//! [`cache`] and [`lsm`]. The next run replays manifest + segments into memory and
-//! starts warm; files of any other format version (the flat v1–v5 logs included) are
-//! ignored wholesale and counted as stale, and a store crowded with dead records is
-//! compacted — automatically past a threshold at open, or explicitly via
-//! [`MemoStore::compact`] / `marple cache compact`.
+//! records persist in one file (`hat-engine-cache v7`, see [`store_file`]): a header,
+//! the record lines, sorted, and a trailing checksum. Opening reads it whole, straight
+//! into the shared tier, so the run starts warm; the end of a run that added records
+//! writes it whole (temporary file, `sync_all`, atomic rename). The record grammar,
+//! single-writer locking, crash consistency and foreign-file rules are specified in
+//! `docs/CACHE_FORMAT.md` and summarised in [`cache`]. A file of any other format (the
+//! v6 manifest and the flat v1–v5 logs included) is left untouched and counted as
+//! stale, and a torn file opens cold.
 //!
 //! ## Scheduler
 //!
@@ -75,20 +70,19 @@
 pub mod atomio;
 pub mod cache;
 pub mod canon;
-pub mod lsm;
 pub mod oracle;
 pub mod schedule;
+pub mod store_file;
 pub mod tier;
 
 pub use cache::{
-    addr_path_for, CacheFileStats, CacheStatsSnapshot, CompactionReport, LockHolder, MemoStore,
-    MemoValue, RecordKind,
+    addr_path_for, CacheFileStats, CacheStatsSnapshot, LockHolder, MemoStore, MemoValue, RecordKind,
 };
 pub use canon::{canonicalize, memo_key, CanonicalMemoKey, CanonicalQuery};
-pub use lsm::{LsmConfig, LsmStatsSnapshot, ManifestState, SegmentMeta};
 pub use oracle::CachingOracle;
 pub use schedule::{
     verdict_mismatches, BenchmarkRun, Engine, EngineConfig, JobReport, PollReport, RunHandle,
     RunSummary,
 };
-pub use tier::{DiskTier, LocalTier, SharedTier};
+pub use store_file::{LsmConfig, LsmStatsSnapshot};
+pub use tier::{LocalTier, SharedTier};

@@ -45,7 +45,7 @@ pub struct CachingOracle {
     /// for the same query, so the store reuses these instead of re-canonicalising; the
     /// fallback only fires if that pairing is ever broken by an unexpected call
     /// sequence.
-    pending: [Option<(String, CanonicalMemoKey)>; 6],
+    pending: [Option<(String, CanonicalMemoKey)>; 4],
     queries: usize,
     hits: usize,
     misses: usize,
@@ -102,7 +102,7 @@ impl CachingOracle {
     }
 
     /// Read-through lookup: local tier (lock-free), then the store's shared tier (one
-    /// shard lock) and disk tier, promoting a store hit into the local tier.
+    /// shard lock), promoting a shared hit into the local tier.
     fn read_through(&mut self, kind: RecordKind, key: &str) -> Option<MemoValue> {
         if let Some(local) = &self.local {
             if let Some(value) = local.get(kind, key) {
@@ -119,7 +119,7 @@ impl CachingOracle {
     }
 
     /// Write-through store: local tier first (the worker will ask again), then the
-    /// store's shared tier (which logs the record to disk when fresh).
+    /// store's shared tier (which marks the store file dirty when fresh).
     fn write_through(&mut self, kind: RecordKind, key: String, value: MemoValue) {
         if let Some(local) = &self.local {
             local.put(kind, key.clone(), value.clone());
@@ -163,6 +163,15 @@ impl CachingOracle {
             .is_satisfiable(&canonical.vars, &canonical.formula);
         self.write_through(RecordKind::Solver, key, verdict.into());
         verdict
+    }
+}
+
+/// The record kind a memo query is stored under.
+fn record_kind(query: &MemoQuery) -> RecordKind {
+    match query {
+        MemoQuery::Minterms { .. } => RecordKind::Minterms,
+        MemoQuery::Inclusion { .. } => RecordKind::Inclusion,
+        MemoQuery::Shape { .. } => RecordKind::Shape,
     }
 }
 
@@ -251,12 +260,12 @@ impl SolverOracle for CachingOracle {
     }
 
     fn memoises(&self, _kind: MemoKind) -> bool {
-        // Every kind has a tier stack; the store decides per kind what reaches disk.
+        // Every kind a query carries has a tier stack.
         true
     }
 
     fn memo_lookup(&mut self, query: &MemoQuery) -> Option<MemoAnswer<'static>> {
-        let kind = RecordKind::from(query.kind());
+        let kind = record_kind(query);
         let canonical = memo_key(query);
         let key = self.store_key(&canonical);
         let found = self
@@ -270,7 +279,7 @@ impl SolverOracle for CachingOracle {
     }
 
     fn memo_store(&mut self, query: &MemoQuery, answer: &MemoAnswer) {
-        let kind = RecordKind::from(query.kind());
+        let kind = record_kind(query);
         let (key, canonical) = self.pending[kind as usize].take().unwrap_or_else(|| {
             let canonical = memo_key(query);
             (self.store_key(&canonical).into_owned(), canonical)

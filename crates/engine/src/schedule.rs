@@ -738,8 +738,8 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
-    // Declared before `cache` so workers join (and stop writing) before the store
-    // flushes its log on drop.
+    // Declared before `cache` so workers join (and stop inserting) before the store
+    // writes its file on drop.
     pool: JobPool,
     cache: Arc<MemoStore>,
     next_submission: AtomicU64,
@@ -749,24 +749,17 @@ impl Engine {
     /// Creates an engine, loading the persistent cache when one is configured and
     /// spawning the worker pool.
     pub fn new(config: EngineConfig) -> std::io::Result<Self> {
-        let cache = match &config.cache_path {
+        let cache = Arc::new(match &config.cache_path {
             Some(path) => MemoStore::with_disk_log(path)?,
             None => MemoStore::in_memory(),
-        };
-        Ok(Self::with_store(config, Arc::new(cache)))
-    }
-
-    /// Creates an engine over an already opened store — one opened with a
-    /// non-default [`crate::LsmConfig`], say — and spawns the worker pool.
-    /// `config.cache_path` is not consulted.
-    pub fn with_store(config: EngineConfig, cache: Arc<MemoStore>) -> Self {
+        });
         let pool = JobPool::spawn(&config, Arc::clone(&cache));
-        Engine {
+        Ok(Engine {
             config,
             pool,
             cache,
             next_submission: AtomicU64::new(0),
-        }
+        })
     }
 
     /// The shared memo store (e.g. for reporting lifetime statistics).

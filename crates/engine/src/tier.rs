@@ -1,25 +1,20 @@
 //! The tiers of the memo hierarchy.
 //!
 //! Every record kind of the [`crate::cache::MemoStore`] — solver verdicts, inclusion
-//! verdicts, DFA shapes, minterm sets — is served by
-//! the same three-level tier stack, instantiated once per kind:
+//! verdicts, DFA shapes, minterm sets — is served by the same two in-memory tiers,
+//! instantiated once per kind, above the store file:
 //!
 //! 1. a **local tier** ([`LocalMap`], grouped per worker in [`LocalTier`]): a plain
 //!    lock-free hash map owned by one scheduler worker. Lookups and promotions touch no
 //!    lock at all, which is what cuts shared-shard lock traffic under `--jobs N`;
 //! 2. a **shared tier** ([`SharedTier`]): a sharded `RwLock` map shared by every worker
 //!    of the run, counting its lock acquisitions so the local tier's effect is
-//!    measurable;
-//! 3. a **disk tier** ([`DiskTier`]): the in-memory image of the persistent LSM segment
-//!    stack owned by [`crate::cache::MemoStore`] (see [`crate::lsm`]). Segments are
-//!    replayed into it at open; a shared-tier miss falls through to it and a hit is
-//!    *promoted* — moved — up into the shared tier, so each warm record pays its
-//!    disk-tier lock at most once. Fresh shared-tier inserts are written through to the
-//!    LSM memtable, which flushes and compacts on a background thread that takes no
-//!    tier locks at all.
+//!    measurable. Opening a store reads its file straight into the shared tiers,
+//!    uncounted, and a write of the file iterates them, uncounted too (see
+//!    [`crate::store_file`]).
 //!
-//! The read-through composition (probe local → fall through to shared and disk →
-//! promote the hit into local) lives in [`crate::oracle::CachingOracle`] and
+//! The read-through composition (probe local → fall through to shared → promote the hit
+//! into local) lives in [`crate::oracle::CachingOracle`] and
 //! [`crate::cache::MemoStore::lookup`]; this module provides the tiers themselves.
 //!
 //! Correctness of read-through caching rests on the same invariant as the rest of the
@@ -28,7 +23,7 @@
 
 use crate::cache::{MemoValue, RecordKind};
 use std::cell::RefCell;
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,7 +74,7 @@ impl<V: Clone> LocalMap<V> {
 /// discards the promotions — the shared tier remains the source of truth.
 #[derive(Debug, Default)]
 pub struct LocalTier {
-    maps: [LocalMap<MemoValue>; 6],
+    maps: [LocalMap<MemoValue>; 4],
 }
 
 impl LocalTier {
@@ -153,9 +148,9 @@ impl<V: Clone> SharedTier<V> {
         self.put_quiet(key, value)
     }
 
-    /// Stores a value without counting the lock acquisition — used when promoting a
-    /// disk-tier hit, which is replay-like bookkeeping and should not pollute the
-    /// contention statistics the local tiers are measured by.
+    /// Stores a value without counting the lock acquisition — used when replaying the
+    /// store file at open, which is bookkeeping and should not pollute the contention
+    /// statistics the local tiers are measured by.
     pub(crate) fn put_quiet(&self, key: String, value: V) -> bool {
         self.shard(&key)
             .write()
@@ -163,76 +158,14 @@ impl<V: Clone> SharedTier<V> {
             .insert(key, value)
             .is_none()
     }
-}
 
-/// The disk tier of one record kind: the in-memory image of what the LSM segment stack
-/// holds for that kind, replayed once at open. It sits *below* the shared tier: a
-/// shared-tier miss falls through to `get` here, and a hit is promoted into the shared
-/// tier and evicted from this tier (the segments on disk still hold the record; this
-/// map only exists so warm lookups need not re-read segment files). Like the shared
-/// tier it counts its lock acquisitions, so `engine/tests/tiers.rs` can assert that
-/// background compaction — which touches only segment files and the manifest — never
-/// acquires one.
-///
-/// A single `RwLock` (not shards) is deliberate: after the open-time replay the tier is
-/// read-mostly and every hot key migrates out of it after its first warm lookup.
-#[derive(Debug)]
-pub struct DiskTier<V> {
-    map: RwLock<HashMap<String, V>>,
-    locks: AtomicUsize,
-}
-
-impl<V> Default for DiskTier<V> {
-    fn default() -> Self {
-        DiskTier {
-            map: RwLock::new(HashMap::new()),
-            locks: AtomicUsize::new(0),
+    /// Visits every entry, shard by shard, without counting the lock acquisitions —
+    /// used to write the store file.
+    pub(crate) fn for_each(&self, mut visit: impl FnMut(&str, &V)) {
+        for shard in &self.shards {
+            let shard = shard.read().expect("shared tier shard poisoned");
+            shard.iter().for_each(|(key, value)| visit(key, value));
         }
-    }
-}
-
-impl<V> DiskTier<V> {
-    /// Total lock acquisitions since construction (reads and writes alike).
-    pub fn lock_acquisitions(&self) -> usize {
-        self.locks.load(Ordering::Relaxed)
-    }
-
-    /// Number of un-promoted entries (uncounted, like replay).
-    pub(crate) fn len(&self) -> usize {
-        self.map.read().expect("disk tier poisoned").len()
-    }
-}
-
-impl<V: Clone> DiskTier<V> {
-    /// Looks a key up (one counted read-lock acquisition).
-    pub fn get(&self, key: &str) -> Option<V> {
-        self.locks.fetch_add(1, Ordering::Relaxed);
-        self.map
-            .read()
-            .expect("disk tier poisoned")
-            .get(key)
-            .cloned()
-    }
-
-    /// Stores a replayed record without counting the lock — open-time replay is
-    /// sequential and should not pollute the contention statistics. `true` when fresh
-    /// (replay feeds segments newest-first, so the first occurrence wins).
-    pub fn put_quiet(&self, key: String, value: V) -> bool {
-        match self.map.write().expect("disk tier poisoned").entry(key) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                slot.insert(value);
-                true
-            }
-        }
-    }
-
-    /// Drops a record that was just promoted into the shared tier (one counted
-    /// write-lock acquisition). Racing promotions are harmless: the second eviction is
-    /// a no-op and both workers promoted the same pure-function-of-key value.
-    pub fn evict(&self, key: &str) {
-        self.locks.fetch_add(1, Ordering::Relaxed);
-        self.map.write().expect("disk tier poisoned").remove(key);
     }
 }
 
@@ -252,22 +185,8 @@ mod tests {
         assert_eq!(
             tier.lock_acquisitions(),
             4,
-            "promotion inserts are not counted"
+            "replay inserts are not counted"
         );
         assert_eq!(tier.len(), 2);
-    }
-
-    #[test]
-    fn disk_tier_counts_locks_and_evicts_promotions() {
-        let tier: DiskTier<bool> = DiskTier::default();
-        assert!(tier.put_quiet("warm".into(), true));
-        assert!(!tier.put_quiet("warm".into(), false), "first replay wins");
-        assert_eq!(tier.lock_acquisitions(), 0, "replay is uncounted");
-        assert_eq!(tier.get("warm"), Some(true));
-        assert_eq!(tier.lock_acquisitions(), 1);
-        tier.evict("warm");
-        assert_eq!(tier.get("warm"), None);
-        assert_eq!(tier.lock_acquisitions(), 3);
-        assert_eq!(tier.len(), 0);
     }
 }

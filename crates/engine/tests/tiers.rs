@@ -6,10 +6,8 @@
 //! relative to a shared-only run or a sequential (`jobs=1`) run, while shared-tier
 //! shard-lock traffic drops.
 
-use hat_engine::{verdict_mismatches, Engine, EngineConfig, LsmConfig, MemoStore, RunSummary};
+use hat_engine::{verdict_mismatches, Engine, EngineConfig, RunSummary};
 use hat_suite::Benchmark;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// A handful of real configurations, small enough for debug-mode CI but covering
 /// several libraries (distinct axiom sets, so the axiom-fingerprint discipline is
@@ -108,117 +106,4 @@ fn sequential_runs_also_benefit_from_the_local_tier() {
         read_through.cache.lock_acquisitions,
         shared_only.cache.lock_acquisitions
     );
-}
-
-/// The v6 acceptance bar for the LSM backend: memtable rotation, background flush and
-/// background compaction all run on the dedicated LSM thread and never acquire a
-/// memo-tier lock. A worker pays disk-tier locks only for its own probes and
-/// promotions, so two sequential cold runs — one that never rotates, one that rotates
-/// and compacts constantly — must count *identical* disk-tier lock traffic.
-#[test]
-fn background_flush_and_compaction_take_no_tier_locks() {
-    let cleanup = |p: &Path| {
-        let _ = std::fs::remove_file(p);
-        let _ = std::fs::remove_file(p.with_extension("compacting"));
-        let mut lock = p.to_path_buf().into_os_string();
-        lock.push(".lock");
-        let _ = std::fs::remove_file(PathBuf::from(lock));
-        let _ = std::fs::remove_dir_all(hat_engine::lsm::segment_dir_for(p));
-    };
-    let fresh_path = |name: &str| {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "hat-engine-tiers-lsm-{name}-{}",
-            std::process::id()
-        ));
-        cleanup(&path);
-        path
-    };
-    // The memtable size comes from the config each store is opened with: the tests of
-    // this binary run in parallel, so none of them may set an environment variable.
-    let engine = |path: &Path, jobs: usize, memtable_bytes: usize| {
-        let lsm = LsmConfig {
-            memtable_bytes,
-            ..LsmConfig::default()
-        };
-        let store = MemoStore::with_disk_log_config(path, lsm).expect("disk-backed store");
-        Engine::with_store(
-            EngineConfig {
-                jobs,
-                ..EngineConfig::default()
-            },
-            Arc::new(store),
-        )
-    };
-
-    // Baseline: a memtable the run can never fill — zero rotations, one drain flush.
-    // Both cold runs are sequential, so their probe sequences are identical.
-    let quiet_path = fresh_path("quiet");
-    let quiet_engine = engine(&quiet_path, 1, 1 << 30);
-    let quiet = quiet_engine.check_benchmarks(&benches());
-    assert!(
-        quiet_engine
-            .cache()
-            .lsm_stats()
-            .expect("persistent store")
-            .rotations
-            <= 1,
-        "the huge memtable must absorb the whole run: only the end-of-run drain rotates"
-    );
-    let quiet_disk_locks = quiet_engine.cache().stats().disk_lock_acquisitions;
-    drop(quiet_engine);
-
-    // Same workload over a toy memtable: constant rotation, flushing and merging on
-    // the background thread while the worker runs.
-    let busy_path = fresh_path("busy");
-    let busy_engine = engine(&busy_path, 1, 512);
-    let busy = busy_engine.check_benchmarks(&benches());
-    let lsm = busy_engine.cache().lsm_stats().expect("persistent store");
-    assert!(lsm.rotations > 0, "the toy memtable must rotate mid-run");
-    assert!(lsm.flushes > 0, "rotated tables must reach segment files");
-    assert!(
-        lsm.compactions > 0,
-        "enough flushes must trigger background merges (got {})",
-        lsm.flushes
-    );
-    assert_eq!(verdicts(&quiet), verdicts(&busy));
-    assert_eq!(
-        busy_engine.cache().stats().disk_lock_acquisitions,
-        quiet_disk_locks,
-        "{} flushes and {} compactions ran in the background, yet the worker observed \
-         exactly the disk-tier lock traffic of the rotation-free run — flush and \
-         compaction never go through the tiers",
-        lsm.flushes,
-        lsm.compactions
-    );
-    drop(busy_engine);
-
-    // Warm restart over the rotated-and-compacted segments: identical verdicts,
-    // nothing re-solved, and the only disk-tier traffic is the workers' own
-    // read-through promotions.
-    let warm_engine = engine(&busy_path, 4, LsmConfig::default().memtable_bytes);
-    let warm = warm_engine.check_benchmarks(&benches());
-    assert_eq!(
-        verdicts(&busy),
-        verdicts(&warm),
-        "verdicts must be bit-identical across rotation and background compaction"
-    );
-    assert_eq!(
-        warm.cache.misses, 0,
-        "every solver query of the warm run must be served from the segments"
-    );
-    // Transitions and subsumption verdicts are memoised nowhere, so no run writes them.
-    let stored = MemoStore::inspect(&busy_path).expect("inspect");
-    assert_eq!(
-        (stored.transitions, stored.subsumption),
-        (0, 0),
-        "the store holds no `T` or `U` record"
-    );
-    assert!(
-        warm_engine.cache().stats().disk_lock_acquisitions > 0,
-        "warm lookups pay their own promotion locks — that is the only disk-tier traffic"
-    );
-    drop(warm_engine);
-    cleanup(&quiet_path);
-    cleanup(&busy_path);
 }

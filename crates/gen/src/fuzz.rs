@@ -11,8 +11,8 @@
 //!    each configuration stays cheap; engines persist across configurations, so the
 //!    shared memo tiers accumulate exactly as they would in a long-lived daemon,
 //! 4. **warm** — an immediate resubmission of the same configuration to the same
-//!    engine, answered from the memo tiers (optionally backed by an LSM disk store
-//!    via [`FuzzConfig::cache_path`]).
+//!    engine, answered from the memo tiers (optionally backed by a store file via
+//!    [`FuzzConfig::cache_path`]).
 //!
 //! The daemon wire stage cannot live here (the daemon depends on this crate to
 //! resolve generated names), so `marple fuzz --remote` adds it client-side by
@@ -108,7 +108,7 @@ pub fn checker_disagreements(bench: &Benchmark) -> Vec<Disagreement> {
 }
 
 /// The full `jobs × prune × inclusion × enumeration × local-tiers` knob cross (32
-/// combinations). `cache_path` attaches the LSM disk store to the first
+/// combinations). `cache_path` attaches the store file to the first
 /// (all-defaults) combination only — the store's sidecar lock is single-writer per
 /// path, so giving it to every combination would just make 31 engines degrade to
 /// memory with a warning each.
@@ -135,7 +135,7 @@ pub fn full_matrix(cache_path: Option<&PathBuf>) -> Vec<(String, EngineConfig)> 
                         );
                         let cache_path = cache_path.take();
                         let label = if cache_path.is_some() {
-                            format!("{label} lsm=on")
+                            format!("{label} store=on")
                         } else {
                             label
                         };
@@ -179,8 +179,8 @@ pub struct FuzzConfig {
     /// Run every configuration under *every* knob combination instead of rotating
     /// one combination per configuration. Much slower; used by the corpus tests.
     pub exhaustive_knobs: bool,
-    /// Optional LSM disk store path shared by the engines (exercises the persistent
-    /// tier; the path's store accumulates across the run).
+    /// Optional store file shared by the engines (exercises persistence; the file's
+    /// records accumulate across the run).
     pub cache_path: Option<PathBuf>,
     /// Progress callback cadence (configurations between `progress` calls).
     pub progress_every: u64,

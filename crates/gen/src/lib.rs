@@ -2,7 +2,7 @@
 //!
 //! A deterministic, seedable generator of **verdict-known** HAT verification
 //! configurations, and the fuzz driver that runs them through the whole stack
-//! (checker → engine knob matrix → memo tiers → LSM cache → daemon wire) asserting
+//! (checker → engine knob matrix → memo tiers → store file → daemon wire) asserting
 //! every observed verdict against the constructed one.
 //!
 //! The strongest invariant this repository maintains is that *verdicts are a pure

@@ -8,7 +8,7 @@
 //!   snapshot diff; regenerate intentionally with
 //!   `UPDATE_GOLDEN=1 cargo test -p hat-gen --test corpus`.
 //! * **Knob-matrix differential**: the corpus re-verified under the core engine knob
-//!   cross (`jobs {1,6} × prune × inclusion`) and under an LSM-backed store cold and
+//!   cross (`jobs {1,6} × prune × inclusion`) and under a disk-backed store cold and
 //!   warm — every verdict must equal the constructed one (and therefore every other
 //!   combination's) bit for bit.
 
@@ -165,8 +165,8 @@ fn corpus_verdicts_are_knob_invariant() {
     }
 }
 
-/// A corpus slice against an LSM-backed store, cold then warm: the second engine
-/// starts from the first one's segments and must reproduce the verdicts exactly.
+/// A corpus slice against a disk-backed store, cold then warm: the second engine
+/// starts from the file the first one wrote and must reproduce the verdicts exactly.
 #[test]
 fn corpus_verdicts_survive_the_disk_cache() {
     let dir = std::env::temp_dir().join(format!("hat-gen-corpus-{}", std::process::id()));
@@ -180,12 +180,12 @@ fn corpus_verdicts_survive_the_disk_cache() {
     };
     let cold = {
         let engine = Engine::new(config(2)).expect("cold engine");
-        verdict_vector("lsm-cold", &engine, slice)
+        verdict_vector("store-cold", &engine, slice)
     };
-    // Engine dropped: the store's segments are on disk. A fresh engine warms from them.
+    // Engine dropped: the store file is on disk. A fresh engine warms from it.
     let warm = {
         let engine = Engine::new(config(1)).expect("warm engine");
-        verdict_vector("lsm-warm", &engine, slice)
+        verdict_vector("store-warm", &engine, slice)
     };
     assert_eq!(cold, warm, "cold and warm verdict vectors differ");
     std::fs::remove_dir_all(&dir).ok();

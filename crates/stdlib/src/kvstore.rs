@@ -36,7 +36,8 @@ pub fn p_stored(k: Term, a: Term) -> Sfa {
 }
 
 /// The HAT signatures of the key-value store (the `Δ` of Example 4.2, with the weaker
-/// ghost-free `get` signature discussed in `DESIGN.md`).
+/// ghost-free `get` signature recorded under "Deviations from the paper" in
+/// `docs/ARCHITECTURE.md`).
 pub fn kvstore_delta() -> Delta {
     let mut d = Delta::new();
     let path = RType::base(sorts::path());

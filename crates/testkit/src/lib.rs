@@ -1,7 +1,7 @@
 //! # hat-testkit
 //!
 //! Shared deterministic test support. The build environment is offline, so the
-//! randomised harnesses across the workspace (the `sfa/tests/` differentials, the LSM
+//! randomised harnesses across the workspace (the `sfa/tests/` differentials, the store
 //! crash-recovery fuzz, the interpreter replay tests, and the `hat-gen` config
 //! generator) cannot pull in a property-testing crate. They all use the same tiny
 //! xorshift64 stream instead, so that **one printed seed reproduces any failure** in any
