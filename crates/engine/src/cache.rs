@@ -779,18 +779,8 @@ mod tests {
         let warm = MemoStore::with_disk_log(&path).unwrap();
         assert_eq!(warm.len(), 2);
         assert_eq!(warm.stats().disk_loaded, 2);
-        assert_eq!(
-            warm.stats().lock_acquisitions,
-            0,
-            "loading the file is uncounted"
-        );
         assert_eq!(warm.lookup(RecordKind::Solver, "alpha"), Some(true.into()));
         assert_eq!(warm.lookup(RecordKind::Solver, "beta"), Some(false.into()));
-        assert_eq!(
-            warm.stats().lock_acquisitions,
-            2,
-            "a warm lookup costs one shared get"
-        );
         assert_eq!(warm.stats().stale, 0);
         let contents = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
@@ -800,6 +790,50 @@ mod tests {
         );
         assert!(contents.lines().last().unwrap().starts_with("end\t"));
         assert!(!sidecar(&path, ".tmp").exists() && !sidecar(&path, ".d").exists());
+        drop(warm);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn warm_lookups_cost_one_shared_get_each() {
+        let path = temp_path("warm-gets");
+        cleanup(&path);
+        {
+            let cache = MemoStore::with_disk_log(&path).unwrap();
+            for i in 0..3 {
+                cache.insert(RecordKind::Solver, format!("sat|p{i}"), true.into());
+            }
+            cache.insert(
+                RecordKind::Minterms,
+                "mt|p".into(),
+                MintermSet::default().into(),
+            );
+        }
+        let warm = MemoStore::with_disk_log(&path).unwrap();
+        assert_eq!(warm.len(), 3);
+        assert_eq!(warm.stats().disk_loaded, 4);
+        assert_eq!(
+            warm.stats().lock_acquisitions,
+            0,
+            "loading the file is uncounted"
+        );
+        assert_eq!(warm.lookup(RecordKind::Solver, "sat|p0"), Some(true.into()));
+        assert_eq!(warm.stats().lock_acquisitions, 1, "one shared get");
+        // A second lookup of the same key costs the same: there is no tier to leave.
+        assert_eq!(warm.lookup(RecordKind::Solver, "sat|p0"), Some(true.into()));
+        assert_eq!(warm.stats().lock_acquisitions, 2);
+        assert_eq!(warm.len(), 3, "lookups never duplicate a record");
+        // A minterm set takes the same path as a verdict.
+        for expected in [3, 4] {
+            assert_eq!(
+                warm.lookup(RecordKind::Minterms, "mt|p"),
+                Some(MintermSet::default().into())
+            );
+            assert_eq!(warm.stats().lock_acquisitions, expected);
+        }
+        let stats = warm.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 0));
+        assert_eq!((stats.minterm_hits, stats.minterm_misses), (2, 0));
         drop(warm);
         cleanup(&path);
     }
@@ -1289,14 +1323,72 @@ mod tests {
         // Inspection is read-only: same result twice, no lock left behind.
         assert_eq!(MemoStore::inspect(&path).unwrap(), stats);
         assert!(!lock_path_for(&path).exists());
-        // A write is the image of the shared tier: the dead records are gone.
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_write_drops_duplicate_records_and_keeps_every_live_record() {
+        let path = temp_path("write-drops-dead");
+        cleanup(&path);
         {
             let cache = MemoStore::with_disk_log(&path).unwrap();
-            assert_eq!((cache.stats().disk_loaded, cache.stats().stale), (5, 2));
-            cache.insert(RecordKind::Solver, "sat|k7".into(), true.into());
+            for i in 0..10 {
+                cache.insert(RecordKind::Solver, format!("sat|k{i}"), true.into());
+            }
         }
-        let rewritten = MemoStore::inspect(&path).unwrap();
-        assert_eq!((rewritten.live(), rewritten.dead()), (6, 0));
+        let first = std::fs::read(&path).unwrap();
+        {
+            // Second session: re-insert the same keys without looking them up. The
+            // file loaded them into the shared tier, so no insert is fresh and nothing
+            // is written twice.
+            let cache = MemoStore::with_disk_log(&path).unwrap();
+            for i in 0..10 {
+                cache.insert(RecordKind::Solver, format!("sat|k{i}"), true.into());
+            }
+            cache.flush();
+            assert_eq!(cache.lsm_stats().unwrap().flushes, 0);
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), first);
+        let stats = MemoStore::inspect(&path).unwrap();
+        assert_eq!(
+            (stats.solver, stats.duplicates, stats.malformed),
+            (10, 0, 0)
+        );
+        // A file that does hold dead records (a duplicate, a malformed line, a torn
+        // payload) under a valid checksum loses them at the next write, and only them.
+        let mut lines: Vec<String> = (0..10).map(|i| format!("S1\tsat|k{i}")).collect();
+        lines.extend(["S1\tsat|k0", "torn-line", "M\tmt|x\tU0;M1;O3#put"].map(String::from));
+        lines.push("M\tmt|y\tU0;M0;P0;Q0;".into());
+        let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+        write_store(&path, &lines);
+        let before = MemoStore::inspect(&path).unwrap();
+        assert_eq!((before.live(), before.dead()), (11, 3));
+        {
+            let cache = MemoStore::with_disk_log(&path).unwrap();
+            assert_eq!((cache.stats().disk_loaded, cache.stats().stale), (11, 2));
+            cache.insert(RecordKind::Solver, "sat|fresh".into(), true.into());
+        }
+        let after = MemoStore::inspect(&path).unwrap();
+        assert_eq!((after.duplicates, after.malformed), (0, 0));
+        assert_eq!(after.live(), 12);
+        let warm = MemoStore::with_disk_log(&path).unwrap();
+        for i in 0..10 {
+            assert_eq!(
+                warm.lookup(RecordKind::Solver, &format!("sat|k{i}")),
+                Some(true.into())
+            );
+        }
+        assert_eq!(
+            warm.lookup(RecordKind::Solver, "sat|fresh"),
+            Some(true.into())
+        );
+        assert_eq!(
+            warm.lookup(RecordKind::Minterms, "mt|y"),
+            Some(MintermSet::default().into())
+        );
+        assert!(warm.lookup(RecordKind::Minterms, "mt|x").is_none());
+        assert_eq!(warm.stats().stale, 0);
+        drop(warm);
         cleanup(&path);
     }
 

@@ -238,6 +238,17 @@ impl Writer {
 mod tests {
     use super::*;
 
+    /// The bytes [`write`] puts on disk for `lines`.
+    fn written(name: &str, lines: &[&str]) -> Vec<u8> {
+        let path =
+            std::env::temp_dir().join(format!("hat-store-file-{}-{name}", std::process::id()));
+        let lines: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        write(&path, &lines).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        bytes
+    }
+
     #[test]
     fn the_checksum_is_pinned() {
         // A silent change would make every existing file read as torn.
@@ -247,28 +258,81 @@ mod tests {
 
     #[test]
     fn decode_tells_fresh_foreign_torn_and_intact_apart() {
-        let path = std::env::temp_dir().join(format!("hat-store-file-{}", std::process::id()));
-        write(&path, &["I1\tb".to_string(), "S0\ta".to_string()]).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        let bytes = written("decode", &["I1\tb", "S0\ta"]);
         assert_eq!(decode(&bytes), Contents::Intact("I1\tb\nS0\ta\n"));
         assert_eq!(decode(b""), Contents::Fresh);
         assert_eq!(decode(b"hat-engine-cache v6\nseq\t1\n"), Contents::Foreign);
-        assert_eq!(decode(b"hat-engine-cache v7x\n"), Contents::Foreign);
+        assert_eq!(decode(&bytes[..bytes.len() - 1]), Contents::Torn);
+        // A trailer whose checksum vouches for other bytes than the body it follows.
+        let empty = format!("{HEADER}\n{TRAILER}{:016x}\n", fingerprint(b"x"));
+        assert_eq!(decode(empty.as_bytes()), Contents::Torn);
+        // A store with no records is intact and empty.
+        assert_eq!(decode(&written("decode-empty", &[])), Contents::Intact(""));
+    }
+
+    #[test]
+    fn a_truncated_file_is_torn() {
+        let bytes = written("truncated", &["I1\tb", "S0\ta"]);
         for cut in 0..bytes.len() {
             let expected = if cut == 0 {
                 Contents::Fresh
             } else if cut < HEADER.len() {
+                // A prefix of the header is some other first line.
                 Contents::Foreign
             } else {
                 Contents::Torn
             };
             assert_eq!(decode(&bytes[..cut]), expected, "cut at {cut}");
         }
-        let mut flipped = bytes.clone();
-        flipped[HEADER.len() + 2] = b'0';
-        assert_eq!(decode(&flipped), Contents::Torn);
-        let empty = format!("{HEADER}\n{TRAILER}{:016x}\n", fingerprint(b"x"));
-        assert_eq!(decode(empty.as_bytes()), Contents::Torn);
+    }
+
+    #[test]
+    fn a_body_that_fails_its_checksum_is_torn() {
+        let bytes = written("checksum", &["S1\tk0"]);
+        let text = std::str::from_utf8(&bytes).unwrap();
+        // Same length, same line count, well-formed record: only the checksum can tell.
+        let flipped = text.replace("S1\tk0", "S0\tk0");
+        assert_eq!(flipped.len(), text.len());
+        assert_eq!(decode(flipped.as_bytes()), Contents::Torn);
+        // A damaged checksum fails the same way.
+        let (body, trailer) = text.trim_end().rsplit_once('\n').unwrap();
+        let sum = trailer.strip_prefix(TRAILER).unwrap();
+        let other = if sum.starts_with('0') { "1" } else { "0" };
+        let resummed = format!("{body}\n{TRAILER}{other}{}\n", &sum[1..]);
+        assert_eq!(decode(resummed.as_bytes()), Contents::Torn);
+        // Without the trailer nothing vouches for the body, intact or not.
+        assert_eq!(decode(format!("{body}\n").as_bytes()), Contents::Torn);
+        // A body that is not UTF-8 is torn even under a checksum that matches it.
+        let mut raw = format!("{HEADER}\nS1\tk").into_bytes();
+        raw.extend_from_slice(&[0xff, b'\n']);
+        let sum = fingerprint(&raw);
+        raw.extend_from_slice(format!("{TRAILER}{sum:016x}\n").as_bytes());
+        assert_eq!(decode(&raw), Contents::Torn);
+        assert_eq!(decode(&bytes), Contents::Intact("S1\tk0\n"));
+    }
+
+    #[test]
+    fn non_v7_headers_are_foreign() {
+        // The v6 manifest, the flat logs before it, a newer release, and near misses of
+        // the header: none is read, so none can be misread.
+        for header in [
+            "hat-engine-cache v6",
+            "hat-engine-cache v5",
+            "hat-engine-cache v1",
+            "hat-engine-cache v8",
+            "hat-engine-cache v7x",
+            "hat-engine-cache v7 ",
+            "hat-engine-cache  v7",
+            "hat-engine-segment v6\tS\t1\t0123456789abcdef",
+            "S1\tk",
+        ] {
+            let text = format!("{header}\nS1\tk\n");
+            assert_eq!(decode(text.as_bytes()), Contents::Foreign, "{header:?}");
+            assert_eq!(decode(header.as_bytes()), Contents::Foreign, "{header:?}");
+        }
+        // A v7 body under another header stays foreign, its valid checksum aside.
+        let bytes = written("foreign", &["S1\tk"]);
+        let renamed = String::from_utf8(bytes).unwrap().replacen("v7", "v6", 1);
+        assert_eq!(decode(renamed.as_bytes()), Contents::Foreign);
     }
 }
